@@ -189,33 +189,22 @@ func (l *Linear) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
 // Params implements Layer.
 func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
-// eluForwardTask is the bound ELU forward body (reused, no closure).
+// eluForwardTask is the bound ELU forward body (reused, no closure). The
+// map lives in the tensor kernel tier (tensor.EluRange), bitwise equal to
+// v > 0 ? v : math.Exp(v)-1 on every path, so parallel chunk boundaries
+// stay invisible.
 type eluForwardTask struct{ x, y *tensor.Matrix }
 
 func (t *eluForwardTask) Run(lo, hi int) {
-	xd, yd := t.x.Data, t.y.Data
-	for i := lo; i < hi; i++ {
-		if v := xd[i]; v > 0 {
-			yd[i] = v
-		} else {
-			yd[i] = math.Exp(v) - 1
-		}
-	}
+	tensor.EluRange(t.y.Data, t.x.Data, lo, hi)
 }
 
-// eluBackwardTask is the bound ELU backward body.
+// eluBackwardTask is the bound ELU backward body: dx = dy where y > 0,
+// dy·(y+1) elsewhere (tensor.EluBackRange).
 type eluBackwardTask struct{ y, dy, dx *tensor.Matrix }
 
 func (t *eluBackwardTask) Run(lo, hi int) {
-	yd, dyd, dxd := t.y.Data, t.dy.Data, t.dx.Data
-	for i := lo; i < hi; i++ {
-		g := dyd[i]
-		if y := yd[i]; y > 0 {
-			dxd[i] = g
-		} else {
-			dxd[i] = g * (y + 1) // d/dx (e^x - 1) = e^x = y + 1
-		}
-	}
+	tensor.EluBackRange(t.dx.Data, t.y.Data, t.dy.Data, lo, hi)
 }
 
 // ELU applies the exponential linear unit element-wise with alpha = 1.

@@ -21,6 +21,12 @@ func sgemmTile1(kc int64, a0 *float32, astride int64, bp *float32, bstride int64
 //go:noescape
 func eluBlock32(n int64, x, y *float32)
 
+//go:noescape
+func eluBlock64(n int64, x, y *float64) int64
+
+//go:noescape
+func eluBackBlock64(n int64, y, dy, dx *float64)
+
 func cpuidRaw(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv0() (eax, edx uint32)
