@@ -186,6 +186,11 @@ type Report struct {
 	Quick       bool   `json:"quick"`
 	GoMaxProcs  int    `json:"go_max_procs"`
 	NumCPU      int    `json:"num_cpu"`
+	// KernelTier is the float64 kernel tier the run used
+	// (tensor.KernelTier): "avx512", "avx2+fma" or "generic". Reports
+	// from different tiers time different kernels, so a ratio between
+	// them is not a code speed-up.
+	KernelTier string `json:"kernel_tier"`
 
 	// Benches holds ns/step, allocs/step, and bytes/step per kernel and
 	// thread count.
@@ -265,10 +270,11 @@ func main() {
 		Quick:             *quick,
 		GoMaxProcs:        runtime.GOMAXPROCS(0),
 		NumCPU:            runtime.NumCPU(),
+		KernelTier:        tensor.KernelTier(),
 		SteadyStateAllocs: map[string]float64{},
 	}
 
-	fmt.Printf("bench: quick=%v threads=%v benchtime=%s\n", *quick, threads, benchtime)
+	fmt.Printf("bench: quick=%v threads=%v benchtime=%s kernel_tier=%s\n", *quick, threads, benchtime, rep.KernelTier)
 	swept := map[int]bool{}
 	for _, t := range threads {
 		eff := parallel.Clamp(t)

@@ -30,7 +30,9 @@
 //
 // Per kernel the best (minimum) ns/op across the thread sweep is
 // compared, so reports swept at different thread counts remain
-// comparable. CI runs it over the committed reports:
+// comparable. The reports' kernel tiers are printed alongside: a ratio
+// between reports from different tiers (say avx2+fma and avx512) times
+// different kernels, not a change in the code. CI runs it over the committed reports:
 //
 //	go run ./cmd/ratchet -old BENCH_PR9.json -new BENCH_PR10.json
 package main
@@ -43,7 +45,8 @@ import (
 )
 
 type report struct {
-	Benches []struct {
+	KernelTier string `json:"kernel_tier"`
+	Benches    []struct {
 		Name    string  `json:"name"`
 		Threads int     `json:"threads"`
 		NsPerOp float64 `json:"ns_per_op"`
@@ -73,6 +76,15 @@ func (r *report) best(name string) float64 {
 		}
 	}
 	return min
+}
+
+// tierName is the report's kernel tier, or a marker for reports written
+// before cmd/bench recorded it.
+func tierName(r *report) string {
+	if r.KernelTier == "" {
+		return "(unrecorded)"
+	}
+	return r.KernelTier
 }
 
 func load(path string) (*report, error) {
@@ -121,6 +133,10 @@ func main() {
 	}
 
 	fmt.Printf("ratchet: %s -> %s (best ns/op across thread sweeps)\n", *oldPath, *newPath)
+	fmt.Printf("  kernel tier    old %s  new %s\n", tierName(oldRep), tierName(newRep))
+	if oldRep.KernelTier != "" && newRep.KernelTier != "" && oldRep.KernelTier != newRep.KernelTier {
+		fmt.Println("  note: the reports ran different kernel tiers; the ratios below include the tier change")
+	}
 	for _, name := range []string{"mat_mul", "infer_step"} {
 		oldNs, newNs := oldRep.best(name), newRep.best(name)
 		if oldNs == 0 || newNs == 0 {

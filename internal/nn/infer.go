@@ -91,19 +91,14 @@ func (m *InferMLP) Session() *InferMLP {
 // Repack refreshes the pre-packed weight panels from the aliased
 // parameter storage — call after the source block trained on. Sessions
 // share the panels, so Repack must not race concurrent evaluations (it
-// is a rebind-time operation, like gnn.Inference.Refresh). A kernel-tier
-// toggle since Compile re-packs at the new panel width.
+// is a rebind-time operation, like gnn.Inference.Refresh).
 func (m *InferMLP) Repack() {
 	for _, l := range m.layers {
 		t, ok := l.(*linearInfer)
 		if !ok || t.pb == nil {
 			continue
 		}
-		if t.pb.NR == tensor.PackWidth() {
-			t.pb.Repack(t.w)
-		} else {
-			t.pb = tensor.PackB(t.w)
-		}
+		t.pb.Repack(t.w)
 	}
 }
 

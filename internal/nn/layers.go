@@ -127,7 +127,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
 	y := l.arena.Get(x.Rows, l.Out)
 	if tensor.ShouldPack(l.In, l.Out) {
-		if l.pw == nil || l.pw.NR != tensor.PackWidth() {
+		if l.pw == nil {
 			l.pw = tensor.PackB(l.Weight.W)
 			l.pwVer = l.Weight.Version()
 		} else if l.pwVer != l.Weight.Version() {

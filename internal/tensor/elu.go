@@ -37,15 +37,26 @@ func EluRange(y, x []float64, lo, hi int) {
 	}
 	_, _ = x[hi-1], y[hi-1] // the kernel reads and writes up to hi
 	i := lo
+	if simdELU64 && simd512 {
+		for hi-i >= 8 {
+			i += int(eluBlock64Z(int64((hi-i)&^7), &x[i], &y[i]))
+			if hi-i < 8 {
+				break
+			}
+			// The kernel stopped at a group holding a NaN or a v < -708,
+			// which archExp handles off its fast path.
+			eluRangeGo(y, x, i, i+8)
+			i += 8
+		}
+	}
 	if simdELU64 {
+		// Without AVX-512 every group, else the last 4 to 7 elements.
 		for hi-i >= 4 {
 			i += int(eluBlock64(int64((hi-i)&^3), &x[i], &y[i]))
 			if hi-i < 4 {
 				break
 			}
-			// The kernel stopped at a group holding a NaN or a v < -708,
-			// which archExp handles off its fast path.
-			eluRangeGo(y, x, i, i+4)
+			eluRangeGo(y, x, i, i+4) // a stop, as above
 			i += 4
 		}
 	}
@@ -72,6 +83,12 @@ func EluBackRange(dx, y, dy []float64, lo, hi int) {
 	}
 	_, _, _ = dx[hi-1], y[hi-1], dy[hi-1]
 	i := lo
+	if simdELU64 && simd512 {
+		if n := (hi - i) &^ 7; n > 0 {
+			eluBackBlock64Z(int64(n), &y[i], &dy[i], &dx[i])
+			i += n
+		}
+	}
 	if simdELU64 {
 		if n := (hi - i) &^ 3; n > 0 {
 			eluBackBlock64(int64(n), &y[i], &dy[i], &dx[i])
@@ -92,19 +109,25 @@ func eluBackRangeGo(dx, y, dy []float64, lo, hi int) {
 	}
 }
 
-// eluProbe64 runs the forward kernel over a fixed spread of [-2, 0) and
-// reports whether it matches math.Exp(v)-1 bit for bit. The FMA and
+// eluProbe64 runs the forward kernels (the 4-lane one, and the 8-lane
+// one where the CPU has AVX-512) over a fixed spread of [-2, 0) and
+// reports whether they match math.Exp(v)-1 bit for bit. The FMA and
 // non-FMA archExp branches differ in the last bit on 14 of these inputs
 // (further out the -1 rounds the difference away), so a runtime that
 // does not take the FMA branch fails the probe.
 func eluProbe64() bool {
-	var x, y [256]float64
+	var x, y, z [256]float64
 	for i := range x {
 		x[i] = -float64(i+1)/128 - float64(i)*0x1p-20
 	}
 	eluBlock64(int64(len(x)), &x[0], &y[0])
+	wide := detectSIMD512()
+	if wide {
+		eluBlock64Z(int64(len(x)), &x[0], &z[0])
+	}
 	for i, v := range x {
-		if math.Float64bits(y[i]) != math.Float64bits(math.Exp(v)-1) {
+		want := math.Float64bits(math.Exp(v) - 1)
+		if math.Float64bits(y[i]) != want || wide && math.Float64bits(z[i]) != want {
 			return false
 		}
 	}

@@ -1,4 +1,5 @@
-// AVX2+FMA kernels for the float64 ELU map (elu.go).
+// AVX2+FMA and AVX-512 kernels for the float64 ELU map (elu.go). The
+// AVX-512 ones (Z suffix, at the end) are the AVX2 ones on eight lanes.
 //
 // eluBlock64 replays, four lanes at a time, the FMA branch of the Go
 // runtime's own math.archExp (src/math/exp_amd64.s): the same
@@ -12,8 +13,8 @@
 // arguments past the overflow bound, and when 2^k needs a denormal or
 // underflows (k <= -1023). The ELU only evaluates the exponential for
 // v <= 0, where those cases are NaN and v < ~-708.4; the kernel stops at
-// the first 4-lane group holding a NaN or a v < -708 and returns the
-// count done, and the caller finishes that group through math.Exp.
+// the first 4-lane (8-lane) group holding a NaN or a v < -708 and returns
+// the count done, and the caller finishes that group through math.Exp.
 
 #include "textflag.h"
 
@@ -154,6 +155,122 @@ bloop:
 	ADDQ $4, CX
 	CMPQ CX, AX
 	JLT  bloop
+
+	VZEROUPPER
+	RET
+
+// func eluBlock64Z(n int64, x, y *float64) int64
+//
+// eluBlock64 on eight lanes: the same archExp FMA-branch replay, the
+// same constants (read by embedded broadcast from the AVX2 tier's
+// tables), the same order. Compares write mask registers where the AVX2
+// kernel writes vector masks; the selections they drive are identical.
+// n must be a positive multiple of 8. Stops at the first 8-lane group
+// holding a NaN or a v < -708 and returns the count done. Registers as
+// in eluBlock64, widened, with K1/K2 the masks.
+TEXT ·eluBlock64Z(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), AX
+	MOVQ x+8(FP), SI
+	MOVQ y+16(FP), DI
+	XORQ CX, CX
+
+	VBROADCASTSD eluOne64<>(SB), Z8
+	VBROADCASTSD eluTwo64<>(SB), Z9
+	VBROADCASTSD eluSixteenth64<>(SB), Z10
+	VBROADCASTSD eluLn2L64<>(SB), Z11
+	VBROADCASTSD eluLn2U64<>(SB), Z12
+	VBROADCASTSD eluLog2e64<>(SB), Z13
+	VBROADCASTSD eluLimit64<>(SB), Z14
+	VPXORQ       Z15, Z15, Z15
+
+zloop:
+	VMOVUPD (SI)(CX*8), Z0
+
+	// Stop where !(v >= -708): a NaN or a v archExp leaves the fast path on.
+	VCMPPD   $9, Z14, Z0, K1
+	KORTESTW K1, K1
+	JNZ      zdone
+
+	// k = round(v·log2e) (MXCSR nearest-even, as CVTSD2SL), fk = float64(k)
+	VMULPD    Z13, Z0, Z1
+	VCVTPD2DQ Z1, Y2
+	VCVTDQ2PD Y2, Z1
+
+	// r = (v - fk·ln2u - fk·ln2l) / 16, both reductions fused
+	VMOVAPD      Z0, Z3
+	VFNMADD231PD Z12, Z1, Z3
+	VFNMADD231PD Z11, Z1, Z3
+	VMULPD       Z10, Z3, Z3
+
+	// Taylor series of (e^r - 1)/r by Horner, fused
+	VBROADCASTSD     eluT64<>(SB), Z4
+	VFMADD213PD.BCST eluT56<>(SB), Z3, Z4
+	VFMADD213PD.BCST eluT48<>(SB), Z3, Z4
+	VFMADD213PD.BCST eluT40<>(SB), Z3, Z4
+	VFMADD213PD.BCST eluT32<>(SB), Z3, Z4
+	VFMADD213PD.BCST eluT24<>(SB), Z3, Z4
+	VFMADD213PD.BCST eluHalf64<>(SB), Z3, Z4
+	VFMADD213PD      Z8, Z3, Z4
+
+	// e^(16r) - 1 by four squarings t = t·(t+2); the last fused with +1
+	VMULPD      Z4, Z3, Z3
+	VADDPD      Z9, Z3, Z4
+	VMULPD      Z4, Z3, Z3
+	VADDPD      Z9, Z3, Z4
+	VMULPD      Z4, Z3, Z3
+	VADDPD      Z9, Z3, Z4
+	VMULPD      Z4, Z3, Z3
+	VADDPD      Z9, Z3, Z4
+	VFMADD213PD Z8, Z4, Z3
+
+	// ×2^k built in the exponent field, then the ELU's -1
+	VPMOVSXDQ     Y2, Z5
+	VPADDQ.BCST   eluBias64<>(SB), Z5, Z5
+	VPSLLQ        $52, Z5, Z5
+	VMULPD        Z5, Z3, Z3
+	VSUBPD        Z8, Z3, Z3
+
+	// positive lanes select the identity: e = v > 0 ? v : e
+	VCMPPD  $14, Z15, Z0, K2
+	VMOVAPD Z0, K2, Z3
+	VMOVUPD Z3, (DI)(CX*8)
+
+	ADDQ $8, CX
+	CMPQ CX, AX
+	JLT  zloop
+
+zdone:
+	MOVQ CX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func eluBackBlock64Z(n int64, y, dy, dx *float64)
+//
+// eluBackBlock64 on eight lanes: dx = y > 0 ? dy : dy·(y+1), add and
+// multiply in the scalar expression's operand order. n must be a
+// positive multiple of 8.
+TEXT ·eluBackBlock64Z(SB), NOSPLIT, $0-32
+	MOVQ n+0(FP), AX
+	MOVQ y+8(FP), SI
+	MOVQ dy+16(FP), BX
+	MOVQ dx+24(FP), DI
+	XORQ CX, CX
+
+	VBROADCASTSD eluOne64<>(SB), Z8
+	VPXORQ       Z15, Z15, Z15
+
+zbloop:
+	VMOVUPD (SI)(CX*8), Z0
+	VMOVUPD (BX)(CX*8), Z1
+	VADDPD  Z8, Z0, Z2
+	VMULPD  Z2, Z1, Z2
+	VCMPPD  $14, Z15, Z0, K1
+	VMOVAPD Z1, K1, Z2
+	VMOVUPD Z2, (DI)(CX*8)
+
+	ADDQ $8, CX
+	CMPQ CX, AX
+	JLT  zbloop
 
 	VZEROUPPER
 	RET

@@ -63,12 +63,13 @@ func eluInputs64() map[string][]float64 {
 			domain = append(domain, v)
 		}
 	}
-	// Each special alone in an otherwise ordinary 4-lane group, at every
-	// lane position, so both the kernel and its hand-off see it.
+	// Each special alone in an otherwise ordinary 8-lane group, at every
+	// lane position, so the kernels of both tiers and their hand-off see
+	// it in every lane.
 	var specials []float64
 	for _, s := range eluSpecials64() {
-		for lane := 0; lane < 4; lane++ {
-			g := []float64{-0.25, 0.75, -3, -1e-3}
+		for lane := 0; lane < 8; lane++ {
+			g := []float64{-0.25, 0.75, -3, -1e-3, -40, 2.5, -0.5, -1e-9}
 			g[lane] = s
 			specials = append(specials, g...)
 		}
@@ -79,37 +80,74 @@ func eluInputs64() map[string][]float64 {
 	}
 }
 
+// eluPath is one float64 ELU code path: the Go loops, the 4-lane AVX2
+// kernels, or the 8-lane AVX-512 kernels in front of them.
+type eluPath struct {
+	name       string
+	simd, wide bool
+}
+
+// eluPaths returns the paths this host can run, logging the ones it
+// cannot, so a host without AVX-512 covers the rest and does not fail.
+func eluPaths(t testing.TB) []eluPath {
+	t.Helper()
+	paths := []eluPath{{"go", false, false}}
+	if !simdELU64 {
+		t.Logf("no float64 ELU kernels on this host (kernel tier %s): Go path only", KernelTier())
+		return paths
+	}
+	paths = append(paths, eluPath{"avx2", true, false})
+	if detectSIMD512() {
+		return append(paths, eluPath{"avx512", true, true})
+	}
+	t.Logf("no AVX-512 on this host: the 8-lane ELU kernels are not covered")
+	return paths
+}
+
+// use selects the path and returns a func restoring the previous one.
+func (p eluPath) use() (restore func()) {
+	prevSIMD, prevWide := setSIMDELU64(p.simd), setSIMD512(p.wide)
+	return func() { setSIMDELU64(prevSIMD); setSIMD512(prevWide) }
+}
+
 // TestEluRangeMatchesMathExp pins the tier's contract: EluRange equals
-// v > 0 ? v : math.Exp(v)-1 bit for bit on every input class. On AVX2
-// hardware it also demands that the kernel is enabled, so a toolchain
-// whose archExp no longer matches the replayed instruction sequence
-// fails here instead of silently falling back.
+// v > 0 ? v : math.Exp(v)-1 bit for bit on every input class and every
+// path. On AVX2 hardware it also demands that the kernel is enabled, so a
+// toolchain whose archExp no longer matches the replayed instruction
+// sequence fails here instead of silently falling back.
 func TestEluRangeMatchesMathExp(t *testing.T) {
 	if detectSIMD() && !simdELU64 {
 		t.Fatal("AVX2+FMA present but the ELU probe rejected the kernel: math.Exp no longer " +
 			"takes the archExp FMA branch that elu_amd64.s replays (new toolchain, or GODEBUG=cpu.fma=off)")
 	}
-	for name, x := range eluInputs64() {
-		y := make([]float64, len(x))
-		EluRange(y, x, 0, len(x))
-		for i, v := range x {
-			if want := eluRef64(v); math.Float64bits(y[i]) != math.Float64bits(want) {
-				t.Fatalf("%s: elem %d input %v (%#016x): got %#016x want %#016x",
-					name, i, v, math.Float64bits(v), math.Float64bits(y[i]), math.Float64bits(want))
+	inputs := eluInputs64()
+	for _, p := range eluPaths(t) {
+		restore := p.use()
+		for name, x := range inputs {
+			y := make([]float64, len(x))
+			EluRange(y, x, 0, len(x))
+			for i, v := range x {
+				if want := eluRef64(v); math.Float64bits(y[i]) != math.Float64bits(want) {
+					restore()
+					t.Fatalf("%s %s: elem %d input %v (%#016x): got %#016x want %#016x",
+						p.name, name, i, v, math.Float64bits(v), math.Float64bits(y[i]), math.Float64bits(want))
+				}
 			}
 		}
+		restore()
 	}
 }
 
-// TestEluRange64LockstepAcrossPaths runs EluRange with the kernel on and
-// off over unaligned ranges and split into random chunks, demanding the
-// same bits as the reference each time: the 4-lane groups, the hand-off
+// TestEluRange64LockstepAcrossPaths runs EluRange on every path over
+// unaligned ranges and split into random chunks, demanding the same bits
+// as the reference each time: the 8- and 4-lane groups, the hand-off
 // groups and the scalar tail all agree, so chunk boundaries, thread
-// counts and SIMD availability stay invisible.
+// counts and the SIMD tier stay invisible.
 func TestEluRange64LockstepAcrossPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	specials := eluSpecials64()
-	for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 31, 64, 1001, 4099} {
+	paths := eluPaths(t)
+	for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 1001, 4099} {
 		x := make([]float64, n)
 		for i := range x {
 			switch rng.Intn(8) {
@@ -129,23 +167,23 @@ func TestEluRange64LockstepAcrossPaths(t *testing.T) {
 				if hi <= lo {
 					continue
 				}
-				for _, simd := range []bool{false, true} {
-					prev := setSIMDELU64(simd)
+				for _, p := range paths {
+					restore := p.use()
 					y := make([]float64, n)
 					for a := lo; a < hi; {
 						b := min(hi, a+1+rng.Intn(37))
 						EluRange(y, x, a, b)
 						a = b
 					}
-					setSIMDELU64(prev)
+					restore()
 					for i := range x {
 						want := 0.0
 						if i >= lo && i < hi {
 							want = eluRef64(x[i])
 						}
 						if math.Float64bits(y[i]) != math.Float64bits(want) {
-							t.Fatalf("n=%d [%d,%d) simd=%v elem %d input %v: got %#016x want %#016x",
-								n, lo, hi, simd, i, x[i], math.Float64bits(y[i]), math.Float64bits(want))
+							t.Fatalf("n=%d [%d,%d) %s elem %d input %v: got %#016x want %#016x",
+								n, lo, hi, p.name, i, x[i], math.Float64bits(y[i]), math.Float64bits(want))
 						}
 					}
 				}
@@ -171,8 +209,8 @@ func TestEluRangeInPlace(t *testing.T) {
 
 // TestEluBackRangeMatchesReference is the backward twin of the two tests
 // above: the branch-free blend equals the branchy Go expression bit for
-// bit, NaN payloads included, with the kernel on and off and over
-// unaligned ranges.
+// bit, NaN payloads included, on every path and over unaligned ranges,
+// with each special value at each of the 8 lanes of a group.
 func TestEluBackRangeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	specials := eluSpecials64()
@@ -188,25 +226,37 @@ func TestEluBackRangeMatchesReference(t *testing.T) {
 			return rng.NormFloat64()
 		}
 	}
-	for _, n := range []int{1, 4, 7, 64, 1003, 1 << 14} {
+	paths := eluPaths(t)
+	for _, n := range []int{1, 4, 7, 8, 15, 64, 1003, 1 << 14} {
 		y := make([]float64, n)
 		dy := make([]float64, n)
 		for i := range y {
 			y[i], dy[i] = pick(), pick()
 		}
+		if n == 1<<14 {
+			// Every special as y, then as dy, at every lane of an
+			// 8-lane group of ordinary values.
+			i := 0
+			for _, s := range specials {
+				for lane := 0; lane < 8; lane++ {
+					y[i+lane], dy[i+8+lane] = s, s
+					i += 16
+				}
+			}
+		}
 		for _, lo := range []int{0, 1, 3} {
 			if lo >= n {
 				continue
 			}
-			for _, simd := range []bool{false, true} {
-				prev := setSIMDELU64(simd)
+			for _, p := range paths {
+				restore := p.use()
 				dx := make([]float64, n)
 				EluBackRange(dx, y, dy, lo, n)
-				setSIMDELU64(prev)
+				restore()
 				for i := lo; i < n; i++ {
 					if want := eluBackRef64(y[i], dy[i]); math.Float64bits(dx[i]) != math.Float64bits(want) {
-						t.Fatalf("n=%d lo=%d simd=%v elem %d y=%v dy=%v: got %#016x want %#016x",
-							n, lo, simd, i, y[i], dy[i], math.Float64bits(dx[i]), math.Float64bits(want))
+						t.Fatalf("n=%d lo=%d %s elem %d y=%v dy=%v: got %#016x want %#016x",
+							n, lo, p.name, i, y[i], dy[i], math.Float64bits(dx[i]), math.Float64bits(want))
 					}
 				}
 			}
@@ -215,22 +265,30 @@ func TestEluBackRangeMatchesReference(t *testing.T) {
 }
 
 // FuzzEluRange checks EluRange against math.Exp on arbitrary float64
-// bits: the fuzzed values fill one 4-lane group plus a scalar tail, at
-// an aligned and an unaligned start.
+// bits, on every path: the fuzzed values fill one 8-lane group (two
+// 4-lane groups) plus a scalar tail, at an aligned and an unaligned
+// start.
 func FuzzEluRange(f *testing.F) {
 	for _, s := range eluSpecials64() {
 		f.Add(math.Float64bits(s), math.Float64bits(-s), math.Float64bits(s/3), uint64(0))
 	}
+	paths := eluPaths(f)
 	f.Fuzz(func(t *testing.T, a, b, c, d uint64) {
-		x := []float64{math.Float64frombits(a), math.Float64frombits(b),
-			math.Float64frombits(c), math.Float64frombits(d), math.Float64frombits(a)}
-		for _, lo := range []int{0, 1} {
-			y := make([]float64, len(x))
-			EluRange(y, x, lo, len(x))
-			for i := lo; i < len(x); i++ {
-				if want := eluRef64(x[i]); math.Float64bits(y[i]) != math.Float64bits(want) {
-					t.Fatalf("lo=%d elem %d input %#016x: got %#016x want %#016x",
-						lo, i, math.Float64bits(x[i]), math.Float64bits(y[i]), math.Float64bits(want))
+		x := make([]float64, 9)
+		for i, u := range []uint64{a, b, c, d, d, c, b, a, a} {
+			x[i] = math.Float64frombits(u)
+		}
+		for _, p := range paths {
+			for _, lo := range []int{0, 1} {
+				y := make([]float64, len(x))
+				restore := p.use()
+				EluRange(y, x, lo, len(x))
+				restore()
+				for i := lo; i < len(x); i++ {
+					if want := eluRef64(x[i]); math.Float64bits(y[i]) != math.Float64bits(want) {
+						t.Fatalf("%s lo=%d elem %d input %#016x: got %#016x want %#016x",
+							p.name, lo, i, math.Float64bits(x[i]), math.Float64bits(y[i]), math.Float64bits(want))
+					}
 				}
 			}
 		}
@@ -244,16 +302,9 @@ func BenchmarkEluRange64(b *testing.B) {
 	for i := range x {
 		x[i] = math.Sin(float64(i)) * 2
 	}
-	for _, bc := range []struct {
-		name string
-		simd bool
-	}{{"simd", true}, {"go", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			prev := setSIMDELU64(bc.simd)
-			defer setSIMDELU64(prev)
-			if bc.simd && !simdELU64 {
-				b.Skip("no AVX2+FMA")
-			}
+	for _, p := range eluPaths(b) {
+		b.Run(p.name, func(b *testing.B) {
+			defer p.use()()
 			b.SetBytes(n * 8)
 			for i := 0; i < b.N; i++ {
 				EluRange(y, x, 0, n)

@@ -35,26 +35,23 @@ type packedMMTask struct {
 }
 
 func (t *packedMMTask) Run(lo, hi int) {
-	if t.pb.NR == 8 {
-		t.runSIMD(lo, hi)
-	} else {
-		t.runGo(lo, hi)
-	}
-	if t.pb.N%t.pb.NR != 0 {
+	t.runSIMD(lo, hi)
+	if t.pb.N%packNR != 0 {
 		t.scalarTail(lo, hi)
 	}
 }
 
-// runSIMD sweeps the AVX2 4×8 microkernel over the chunk's rows. Rows are
-// tiled on GLOBAL multiples of 4 (head/tail rows use the 1×8 kernel,
-// whose per-row operation sequence is identical), so a row's bits never
-// depend on where chunk boundaries fall.
+// runSIMD sweeps the microkernels over the chunk's rows: 8-row zmm tiles
+// on the AVX-512 tier, then 4-row and 1-row ymm tiles for the rest. All
+// three perform the identical per-row operation sequence, so a row's bits
+// never depend on where chunk boundaries fall or which tier ran.
 func (t *packedMMTask) runSIMD(lo, hi int) {
 	pb := t.pb
 	k, n := pb.K, pb.N
-	np := n / 8
+	np := n / packNR
 	ka, dn := t.a.Cols, t.dst.Cols
 	ad, dd := t.a.Data, t.dst.Data
+	arow, crow := int64(ka*8), int64(dn*8)
 	for kc0 := 0; kc0 < k; kc0 += packKc {
 		kcLen := min(packKc, k-kc0)
 		var accF int64
@@ -62,13 +59,15 @@ func (t *packedMMTask) runSIMD(lo, hi int) {
 			accF = 1
 		}
 		kc := int64(kcLen)
-		for p0 := 0; p0 < np; p0 += ncPanels(kcLen, 8) {
-			p1 := min(p0+ncPanels(kcLen, 8), np)
+		for p0 := 0; p0 < np; p0 += ncPanels(kcLen, packNR) {
+			p1 := min(p0+ncPanels(kcLen, packNR), np)
 			i := lo
-			for ; i < hi && i&3 != 0; i++ {
-				a0 := &ad[i*ka+kc0]
-				for p := p0; p < p1; p++ {
-					dgemmTile1(kc, a0, 8, &pb.panels[(p*k+kc0)*8], 64, &dd[i*dn+p*8], accF)
+			if simd512 {
+				for ; i+8 <= hi; i += 8 {
+					a0 := &ad[i*ka+kc0]
+					for p := p0; p < p1; p++ {
+						dgemmTile8Z(kc, a0, arow, 8, &pb.panels[(p*k+kc0)*8], 64, &dd[i*dn+p*8], crow, accF)
+					}
 				}
 			}
 			for ; i+4 <= hi; i += 4 {
@@ -92,120 +91,13 @@ func (t *packedMMTask) runSIMD(lo, hi int) {
 	}
 }
 
-// runGo sweeps the pure-Go 2×4 packed microkernel, which keeps the legacy
-// rank-4 grouped expression per element and is bitwise-identical to the
-// legacy MatMul kernel on finite data.
-func (t *packedMMTask) runGo(lo, hi int) {
-	pb := t.pb
-	k := pb.K
-	np := pb.N / 4
-	for kc0 := 0; kc0 < k; kc0 += packKc {
-		kcLen := min(packKc, k-kc0)
-		accF := kc0 > 0
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			t.goRow2(i, np, kc0, kcLen, accF)
-		}
-		for ; i < hi; i++ {
-			t.goRow1(i, np, kc0, kcLen, accF)
-		}
-	}
-}
-
-func (t *packedMMTask) goRow2(i, np, kc0, kcLen int, accF bool) {
-	pb := t.pb
-	k := pb.K
-	ka, dn := t.a.Cols, t.dst.Cols
-	ad, dd := t.a.Data, t.dst.Data
-	ar0 := ad[i*ka+kc0 : i*ka+kc0+kcLen]
-	ar1 := ad[(i+1)*ka+kc0 : (i+1)*ka+kc0+kcLen]
-	for p := 0; p < np; p++ {
-		panel := pb.panels[(p*k+kc0)*4 : (p*k+kc0+kcLen)*4]
-		var c00, c01, c02, c03, c10, c11, c12, c13 float64
-		d0 := dd[i*dn+p*4 : i*dn+p*4+4]
-		d1 := dd[(i+1)*dn+p*4 : (i+1)*dn+p*4+4]
-		if accF {
-			c00, c01, c02, c03 = d0[0], d0[1], d0[2], d0[3]
-			c10, c11, c12, c13 = d1[0], d1[1], d1[2], d1[3]
-		}
-		kk := 0
-		for ; kk+4 <= kcLen; kk += 4 {
-			b0 := panel[kk*4 : kk*4+4]
-			b1 := panel[(kk+1)*4 : (kk+1)*4+4]
-			b2 := panel[(kk+2)*4 : (kk+2)*4+4]
-			b3 := panel[(kk+3)*4 : (kk+3)*4+4]
-			a0, a1, a2, a3 := ar0[kk], ar0[kk+1], ar0[kk+2], ar0[kk+3]
-			c00 += a0*b0[0] + a1*b1[0] + a2*b2[0] + a3*b3[0]
-			c01 += a0*b0[1] + a1*b1[1] + a2*b2[1] + a3*b3[1]
-			c02 += a0*b0[2] + a1*b1[2] + a2*b2[2] + a3*b3[2]
-			c03 += a0*b0[3] + a1*b1[3] + a2*b2[3] + a3*b3[3]
-			a0, a1, a2, a3 = ar1[kk], ar1[kk+1], ar1[kk+2], ar1[kk+3]
-			c10 += a0*b0[0] + a1*b1[0] + a2*b2[0] + a3*b3[0]
-			c11 += a0*b0[1] + a1*b1[1] + a2*b2[1] + a3*b3[1]
-			c12 += a0*b0[2] + a1*b1[2] + a2*b2[2] + a3*b3[2]
-			c13 += a0*b0[3] + a1*b1[3] + a2*b2[3] + a3*b3[3]
-		}
-		for ; kk < kcLen; kk++ {
-			bv := panel[kk*4 : kk*4+4]
-			av0, av1 := ar0[kk], ar1[kk]
-			c00 += av0 * bv[0]
-			c01 += av0 * bv[1]
-			c02 += av0 * bv[2]
-			c03 += av0 * bv[3]
-			c10 += av1 * bv[0]
-			c11 += av1 * bv[1]
-			c12 += av1 * bv[2]
-			c13 += av1 * bv[3]
-		}
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-		d1[0], d1[1], d1[2], d1[3] = c10, c11, c12, c13
-	}
-}
-
-func (t *packedMMTask) goRow1(i, np, kc0, kcLen int, accF bool) {
-	pb := t.pb
-	k := pb.K
-	ka, dn := t.a.Cols, t.dst.Cols
-	ad, dd := t.a.Data, t.dst.Data
-	ar0 := ad[i*ka+kc0 : i*ka+kc0+kcLen]
-	for p := 0; p < np; p++ {
-		panel := pb.panels[(p*k+kc0)*4 : (p*k+kc0+kcLen)*4]
-		var c00, c01, c02, c03 float64
-		d0 := dd[i*dn+p*4 : i*dn+p*4+4]
-		if accF {
-			c00, c01, c02, c03 = d0[0], d0[1], d0[2], d0[3]
-		}
-		kk := 0
-		for ; kk+4 <= kcLen; kk += 4 {
-			b0 := panel[kk*4 : kk*4+4]
-			b1 := panel[(kk+1)*4 : (kk+1)*4+4]
-			b2 := panel[(kk+2)*4 : (kk+2)*4+4]
-			b3 := panel[(kk+3)*4 : (kk+3)*4+4]
-			a0, a1, a2, a3 := ar0[kk], ar0[kk+1], ar0[kk+2], ar0[kk+3]
-			c00 += a0*b0[0] + a1*b1[0] + a2*b2[0] + a3*b3[0]
-			c01 += a0*b0[1] + a1*b1[1] + a2*b2[1] + a3*b3[1]
-			c02 += a0*b0[2] + a1*b1[2] + a2*b2[2] + a3*b3[2]
-			c03 += a0*b0[3] + a1*b1[3] + a2*b2[3] + a3*b3[3]
-		}
-		for ; kk < kcLen; kk++ {
-			bv := panel[kk*4 : kk*4+4]
-			av := ar0[kk]
-			c00 += av * bv[0]
-			c01 += av * bv[1]
-			c02 += av * bv[2]
-			c03 += av * bv[3]
-		}
-		d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
-	}
-}
-
 // scalarTail computes the N mod NR remainder columns from the packed
 // column strips, over the full K extent, with the owning kernel's legacy
 // accumulation order.
 func (t *packedMMTask) scalarTail(lo, hi int) {
 	pb := t.pb
-	k, n, nr := pb.K, pb.N, pb.NR
-	j0 := (n / nr) * nr
+	k, n := pb.K, pb.N
+	j0 := (n / packNR) * packNR
 	ka, dn := t.a.Cols, t.dst.Cols
 	ad, dd := t.a.Data, t.dst.Data
 	for i := lo; i < hi; i++ {
@@ -241,7 +133,7 @@ func matMulPacked(dst, a, b *Matrix, transposed bool) {
 	if transposed {
 		n = b.Rows
 	}
-	pb := getPackScratch(a.Cols, n, packNR())
+	pb := getPackScratch(a.Cols, n)
 	if transposed {
 		pb.packFromT(b)
 	} else {
@@ -259,15 +151,15 @@ func matMulPacked(dst, a, b *Matrix, transposed bool) {
 // PackBWith): the pack-once form for weights reused across many calls.
 // The result is bitwise-identical to MatMul on the unpacked operand when
 // the packed tier would engage for its shape; for smaller shapes it still
-// runs the packed kernels (the caller opted in by packing).
+// runs the packed kernels (the caller opted in by packing). Requires the
+// SIMD tier; callers pack only when ShouldPack reports true.
 func MatMulPacked(dst, a *Matrix, pb *PackedB) {
 	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
 		panic(fmt.Sprintf("tensor: MatMulPacked shape mismatch (%dx%d)·packed(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, pb.K, pb.N, dst.Rows, dst.Cols))
 	}
-	if pb.NR != packNR() {
-		panic(fmt.Sprintf("tensor: MatMulPacked panel width %d, kernel tier wants %d (re-pack after a tier change)",
-			pb.NR, packNR()))
+	if !simdGEMM {
+		panic("tensor: MatMulPacked requires the SIMD kernel tier")
 	}
 	t := packedMMPool.Get().(*packedMMTask)
 	t.dst, t.a, t.pb, t.plainTail = dst, a, pb, false
@@ -277,20 +169,28 @@ func MatMulPacked(dst, a *Matrix, pb *PackedB) {
 }
 
 // bodySIMD is the packed-tier body of the MatMulATB reduction: the same
-// 4×8 microkernel walking DOWN the chunk's rows via strides (a columns
+// microkernels walking DOWN the chunk's rows via strides (a columns
 // become tile rows, raw b rows are already panel-shaped). The chunk
 // schedule, accumulator layout, and merge order of the surrounding
 // ReduceWith are untouched, so determinism across thread counts is
 // inherited; within a chunk every a-column meets the identical per-column
-// sequence whether it lands in a 4-wide or 1-wide tile.
+// sequence whether it lands in an 8-, 4- or 1-wide tile.
 func (t *matMulATBTask) bodySIMD(lo, hi int, acc []float64) {
 	a, b := t.a, t.b
 	in, n := a.Cols, b.Cols
 	kc := int64(hi - lo)
 	ad, bd := a.Data, b.Data
+	// bstr is also the row stride of acc, whose rows are n wide like b's.
 	astr, bstr := int64(in*8), int64(n*8)
 	np8 := (n / 8) * 8
 	i := 0
+	if simd512 {
+		for ; i+8 <= in; i += 8 {
+			for p := 0; p < np8; p += 8 {
+				dgemmTile8Z(kc, &ad[lo*in+i], 8, astr, &bd[lo*n+p], bstr, &acc[i*n+p], bstr, 0)
+			}
+		}
+	}
 	for ; i+4 <= in; i += 4 {
 		for p := 0; p < np8; p += 8 {
 			dgemmTile4(kc,

@@ -111,11 +111,11 @@ func MatMul(dst, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	// Above the K·N threshold the packed cache-blocked tier takes over
-	// (pack.go). The threshold never involves the row count, so a row's
-	// kernel is the same however rows are partitioned across ranks and
-	// threads; the pure-Go packed kernels are bitwise-identical to this
-	// one, and the SIMD kernels are bitwise-reproducible across thread
-	// counts (per-row FMA order fixed by shape alone).
+	// on SIMD hosts (pack.go). The threshold never involves the row
+	// count, so a row's kernel is the same however rows are partitioned
+	// across ranks and threads, and the SIMD kernels are bitwise-
+	// reproducible across thread counts (per-row FMA order fixed by shape
+	// alone).
 	if usePacked(a.Cols, b.Cols) {
 		matMulPacked(dst, a, b, false)
 		return
@@ -135,7 +135,7 @@ func (t *matMulATBTask) Body(lo, hi int, acc []float64) {
 	// Packed tier: same chunk schedule and merge order, SIMD tile sweep
 	// inside the chunk (gemm_packed.go). Gated on the reduction shape
 	// (in·n) only, so engagement is independent of the row partition.
-	if simdGEMM && n >= 8 && usePacked(in, n) {
+	if n >= 8 && usePacked(in, n) {
 		t.bodySIMD(lo, hi, acc)
 		return
 	}
@@ -254,10 +254,8 @@ func MatMulABT(dst, a, b *Matrix) {
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
 	// Packed tier: bᵀ packs into the same panel layout (pack.go), so the
-	// identical microkernel serves this form. SIMD-only — the pure-Go
-	// packed kernels match MatMul's grouped bits, not this kernel's plain
-	// per-k bits, so without SIMD the legacy kernel stays authoritative.
-	if simdGEMM && usePacked(a.Cols, b.Rows) {
+	// identical microkernel serves this form.
+	if usePacked(a.Cols, b.Rows) {
 		matMulPacked(dst, a, b, true)
 		return
 	}

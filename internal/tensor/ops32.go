@@ -57,7 +57,7 @@ func MatMul32(dst, a, b *Matrix32) {
 		panic(fmt.Sprintf("tensor: MatMul32 shape mismatch (%dx%d)·(%dx%d)->(%dx%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
 	}
-	if usePacked32(a.Cols, b.Cols) {
+	if usePacked(a.Cols, b.Cols) {
 		pb := getPackScratch32(a.Cols, b.Cols, packNR32)
 		pb.packFrom(b)
 		matMul32Packed(dst, a, pb)

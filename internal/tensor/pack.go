@@ -20,11 +20,11 @@ import (
 //
 // The A operand is deliberately NOT packed in the drivers: it is the
 // row-major streaming operand, each row is read with unit stride, and a
-// 4-row tile's slice of A (4·K floats) stays L1-resident across its panel
-// sweep, so a pack pass would only add traffic. PackB/PackBWith exist for
-// weight matrices reused across calls (serving engines pack once at
-// compile time); the in-driver pack path re-packs per call, which for the
-// shapes in this system costs under 0.1% of the multiply's flops.
+// row tile's slice of A (at most 8·Kc floats) stays L1-resident across
+// its panel sweep, so a pack pass would only add traffic. PackB/PackBWith
+// exist for weight matrices reused across calls (serving engines pack
+// once at compile time); the in-driver pack path re-packs per call, which
+// for the shapes in this system costs under 0.1% of the multiply's flops.
 //
 // Blocking. Mc is the parallel.ForTask row chunk (shape-derived grain,
 // split freely across workers). Kc (packKc) bounds the inner-dimension
@@ -36,14 +36,14 @@ import (
 // Determinism. The tier engages on a threshold over K·N ONLY — never the
 // row count — so the kernel a given row meets is independent of how rows
 // are partitioned across ranks, chunks, or threads. Within the tier,
-// every row-remainder kernel performs the exact per-row operation
-// sequence of the full tile (the 1-row SIMD kernel mirrors the 4-row
-// kernel's rows; the pure-Go 1-row kernel mirrors the 2-row kernel's),
-// so a row's bits never depend on which tile computed it. The pure-Go
-// packed kernels keep the legacy rank-4 grouped expression and are
-// bitwise-identical to the legacy kernels on finite data; the SIMD
-// kernels use fused multiply-add and round differently — identically for
-// every thread count and partitioning.
+// every kernel performs the exact per-row operation sequence of every
+// other (the 8-row AVX-512 tile, the 4-row and the 1-row AVX2 tiles all
+// accumulate c += a[k]·b[k] fused, in ascending k), so a row's bits never
+// depend on which tile computed it — nor on whether the host has
+// AVX-512. The fused multiply-adds round differently from the legacy Go
+// kernels, identically for every thread count and partitioning. The tier
+// is SIMD-only: without AVX2+FMA, ShouldPack reports false and the ops
+// run the legacy kernels.
 
 const (
 	// packMinKN engages the packed tier when K*N >= packMinKN. Small
@@ -55,18 +55,34 @@ const (
 	packNcBudget = 192 << 10
 )
 
-// packKc is the Kc inner-dimension block. It is a multiple of 4 so the
-// pure-Go kernels' rank-4 group boundaries are identical with and without
-// the split; a var so tests can shrink it to exercise block remainders.
+// packKc is the Kc inner-dimension block; a var so tests can shrink it to
+// exercise block remainders.
 var packKc = 2048
 
 var (
 	simdGEMM   = detectSIMD()
+	simd512    = detectSIMD512()
 	packedGEMM = true
 )
 
-// SIMDEnabled reports whether the AVX2+FMA microkernels are in use.
+// SIMDEnabled reports whether the assembly kernels are in use: AVX2+FMA,
+// with the AVX-512 tier on top where the CPU has it.
 func SIMDEnabled() bool { return simdGEMM }
+
+// KernelTier names the float64 kernel tier this process runs: "avx512"
+// (zmm GEMM tiles and ELU over the AVX2 kernels), "avx2+fma", or
+// "generic" (the legacy Go kernels). The AVX-512 and AVX2 tiers are
+// bitwise equal; "generic" rounds the GEMMs differently. Benchmark
+// reports record it so a tier change cannot pass for a code speed-up.
+func KernelTier() string {
+	switch {
+	case simdGEMM && simd512:
+		return "avx512"
+	case simdGEMM:
+		return "avx2+fma"
+	}
+	return "generic"
+}
 
 // setPackedGEMM toggles the packed tier entirely (test hook); returns the
 // previous setting.
@@ -76,7 +92,7 @@ func setPackedGEMM(on bool) bool {
 	return prev
 }
 
-// setSIMDGEMM forces the pure-Go packed kernels when off (test hook);
+// setSIMDGEMM forces the legacy Go kernels when off (test hook);
 // enabling requires hardware support. Returns the previous setting.
 func setSIMDGEMM(on bool) bool {
 	prev := simdGEMM
@@ -84,24 +100,23 @@ func setSIMDGEMM(on bool) bool {
 	return prev
 }
 
-// packNR is the f64 panel width: 8 columns (two ymm vectors) for the
-// SIMD kernels, 4 for the pure-Go rank-4 kernels.
-func packNR() int {
-	if simdGEMM {
-		return 8
-	}
-	return 4
+// setSIMD512 drops the GEMM and ELU kernels to the AVX2 tier when off
+// (test hook); enabling requires hardware support. Returns the previous
+// setting.
+func setSIMD512(on bool) bool {
+	prev := simd512
+	simd512 = on && detectSIMD512()
+	return prev
 }
+
+// packNR is the f64 panel width: 8 columns, one zmm or two ymm vectors.
+const packNR = 8
 
 // packNR32 is the f32 panel width (16 lanes). The f32 tier is SIMD-only;
 // without AVX2 the f32 ops use their scalar kernels unpacked.
 const packNR32 = 16
 
 func usePacked(k, n int) bool {
-	return packedGEMM && k > 0 && k*n >= packMinKN
-}
-
-func usePacked32(k, n int) bool {
 	return packedGEMM && simdGEMM && k > 0 && k*n >= packMinKN
 }
 
@@ -110,7 +125,7 @@ func usePacked32(k, n int) bool {
 // predicate serving engines use to decide whether pre-packing a weight
 // matrix (PackB32) is worthwhile. False on hardware without the SIMD
 // tier or below the blocking threshold, where the scalar f32 kernel wins.
-func ShouldPack32(k, n int) bool { return usePacked32(k, n) }
+func ShouldPack32(k, n int) bool { return usePacked(k, n) }
 
 // ShouldPack is the f64 twin of ShouldPack32: it reports whether MatMul
 // itself would route a (·,k)·(k,n) product through the packed tier.
@@ -118,27 +133,23 @@ func ShouldPack32(k, n int) bool { return usePacked32(k, n) }
 // bitwise-identical to MatMul on the unpacked operand — the caching
 // predicate the compiled serving twins and the training-side epoch pack
 // cache share. Below the threshold the legacy kernels win (and have
-// golden files against their bits), so callers must not pre-pack.
+// golden files against their bits), so callers must not pre-pack. False
+// without AVX2+FMA, where the legacy kernels run.
 func ShouldPack(k, n int) bool { return usePacked(k, n) }
-
-// PackWidth reports the current f64 panel width NR. A PackedB whose NR
-// differs (packed before a kernel-tier toggle) must be re-packed before
-// the next MatMulPacked; long-lived caches validate against this.
-func PackWidth() int { return packNR() }
 
 // PackedB is a B operand packed for the f64 GEMM tier: full NR-wide
 // panels plus column strips for the N mod NR remainder.
 type PackedB struct {
-	K, N, NR int
-	panels   []float64 // (N/NR) panels of K×NR, k-major
-	tail     []float64 // (N mod NR) column strips of K
+	K, N   int
+	panels []float64 // (N/NR) panels of K×NR, k-major
+	tail   []float64 // (N mod NR) column strips of K
 }
 
-func (p *PackedB) sizeFor(k, n, nr int) {
-	p.K, p.N, p.NR = k, n, nr
-	np := n / nr
-	needP := np * k * nr
-	needT := (n - np*nr) * k
+func (p *PackedB) sizeFor(k, n int) {
+	p.K, p.N = k, n
+	np := n / packNR
+	needP := np * k * packNR
+	needT := (n - np*packNR) * k
 	if cap(p.panels) < needP {
 		p.panels = make([]float64, needP)
 	}
@@ -151,7 +162,7 @@ func (p *PackedB) sizeFor(k, n, nr int) {
 
 // packFrom fills the panels from a K×N row-major source.
 func (p *PackedB) packFrom(b *Matrix) {
-	k, n, nr := p.K, p.N, p.NR
+	k, n, nr := p.K, p.N, packNR
 	np := n / nr
 	for pn := 0; pn < np; pn++ {
 		dst := p.panels[pn*k*nr : (pn+1)*k*nr]
@@ -171,7 +182,7 @@ func (p *PackedB) packFrom(b *Matrix) {
 // packFromT fills the panels from the TRANSPOSE of an N×K row-major
 // source (the MatMulABT operand): packed column j is source row j.
 func (p *PackedB) packFromT(b *Matrix) {
-	k, n, nr := p.K, p.N, p.NR
+	k, n, nr := p.K, p.N, packNR
 	np := n / nr
 	for pn := 0; pn < np; pn++ {
 		dst := p.panels[pn*k*nr : (pn+1)*k*nr]
@@ -189,11 +200,10 @@ func (p *PackedB) packFromT(b *Matrix) {
 
 // PackB packs b (K×N) for reuse across MatMulPacked calls — the
 // pack-once form for weight matrices that are multiplied many times
-// (serving engines pack at compile time). The panel width is the current
-// kernel tier's, so a PackedB must not outlive a kernel-tier toggle.
+// (serving engines pack at compile time).
 func PackB(b *Matrix) *PackedB {
 	p := &PackedB{}
-	p.sizeFor(b.Rows, b.Cols, packNR())
+	p.sizeFor(b.Rows, b.Cols)
 	p.packFrom(b)
 	return p
 }
@@ -206,12 +216,11 @@ func PackBWith(ar *Arena, b *Matrix) *PackedB {
 		return PackB(b)
 	}
 	p := &PackedB{}
-	nr := packNR()
-	np := b.Cols / nr
-	needP := np * b.Rows * nr
-	needT := (b.Cols - np*nr) * b.Rows
+	np := b.Cols / packNR
+	needP := np * b.Rows * packNR
+	needT := (b.Cols - np*packNR) * b.Rows
 	backing := ar.Get(1, needP+needT)
-	p.K, p.N, p.NR = b.Rows, b.Cols, nr
+	p.K, p.N = b.Rows, b.Cols
 	p.panels = backing.Data[:needP:needP]
 	p.tail = backing.Data[needP : needP+needT : needP+needT]
 	p.packFrom(b)
@@ -219,12 +228,11 @@ func PackBWith(ar *Arena, b *Matrix) *PackedB {
 }
 
 // Usable reports whether this packed operand may stand in for its source
-// matrix in MatMul: the packed tier still engages for its shape (so the
-// bits match the unpacked path) and the panel width still matches the
-// kernel tier (so MatMulPacked accepts it). Safe on a nil receiver —
-// callers keep one `if pb.Usable()` branch on their hot path.
+// matrix in MatMul: the packed tier still engages for its shape, so the
+// bits match the unpacked path. Safe on a nil receiver — callers keep one
+// `if pb.Usable()` branch on their hot path.
 func (p *PackedB) Usable() bool {
-	return p != nil && usePacked(p.K, p.N) && p.NR == packNR()
+	return p != nil && usePacked(p.K, p.N)
 }
 
 // Repack refreshes the packed contents from b, which must have the shape
@@ -241,9 +249,9 @@ func (p *PackedB) Repack(b *Matrix) {
 // recycle, so steady state performs no heap allocation).
 var packScratch = sync.Pool{New: func() any { return new(PackedB) }}
 
-func getPackScratch(k, n, nr int) *PackedB {
+func getPackScratch(k, n int) *PackedB {
 	p := packScratch.Get().(*PackedB)
-	p.sizeFor(k, n, nr)
+	p.sizeFor(k, n)
 	return p
 }
 

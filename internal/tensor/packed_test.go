@@ -11,8 +11,7 @@ import (
 
 // Naive references: plain ascending-k accumulation, no blocking, no
 // parallelism — the semantic ground truth the packed tier is checked
-// against (to tolerance for the FMA kernels, bitwise for the pure-Go
-// packed kernels vs the legacy kernels).
+// against, to tolerance (the FMA kernels round differently).
 
 func naiveMatMul(a, b *Matrix) *Matrix {
 	dst := New(a.Rows, b.Cols)
@@ -82,7 +81,7 @@ func withPlantedZeros(rng *rand.Rand, m *Matrix) {
 }
 
 // packedShapes are (M, K, N) triples chosen to hit every remainder path:
-// row tails mod 4, column tails mod NR (4, 8 and 16), Kc block edges
+// row tails mod 4 and 8, column tails mod NR (8, and 16 for f32), Kc block edges
 // (packKc is shrunk in the tests that need K > Kc), and the threshold
 // boundary itself.
 var packedShapes = [][3]int{
@@ -127,45 +126,54 @@ func TestPackedMatMulMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestPackedPureGoBitwiseLegacy pins the fallback contract: with SIMD
-// forced off, the packed kernels produce bit-for-bit the legacy kernel's
-// output (same rank-4 grouped expression), so non-AVX2 platforms keep
-// every golden file.
-func TestPackedPureGoBitwiseLegacy(t *testing.T) {
+// TestNoSIMDRunsLegacyKernels pins the contract for hosts without
+// AVX2+FMA: the packed tier never engages, and MatMul, MatMulABT and
+// MatMulATB produce the legacy kernels' bits, so such hosts keep every
+// golden file.
+func TestNoSIMDRunsLegacyKernels(t *testing.T) {
 	prevSIMD := setSIMDGEMM(false)
 	defer setSIMDGEMM(prevSIMD)
 	rng := rand.New(rand.NewSource(11))
 	for _, sh := range packedShapes {
 		m, k, n := sh[0], sh[1], sh[2]
+		if ShouldPack(k, n) || ShouldPack32(k, n) {
+			t.Fatalf("packed tier engages at K=%d N=%d without SIMD", k, n)
+		}
 		a := randomMatrix(rng, m, k)
 		b := randomMatrix(rng, k, n)
+		bt := randomMatrix(rng, n, k)
+		c := randomMatrix(rng, m, n)
 		withPlantedZeros(rng, a)
-
-		dst := New(m, n)
-		MatMul(dst, a, b) // pure-Go packed when above threshold
-
+		run := func() []*Matrix {
+			mm, abt, atb := New(m, n), New(m, n), New(k, n)
+			MatMul(mm, a, b)
+			MatMulABT(abt, a, bt)
+			MatMulATB(atb, a, c)
+			return []*Matrix{mm, abt, atb}
+		}
+		got := run()
 		prevPacked := setPackedGEMM(false)
-		want := New(m, n)
-		MatMul(want, a, b) // legacy kernel
+		want := run() // the legacy kernels, tier selection bypassed
 		setPackedGEMM(prevPacked)
-
-		if !dst.Equal(want) {
-			t.Errorf("pure-Go packed %dx%dx%d not bitwise legacy (maxAbsDiff %g)",
-				m, k, n, dst.MaxAbsDiff(want))
+		for i, name := range []string{"MatMul", "MatMulABT", "MatMulATB"} {
+			if !got[i].Equal(want[i]) {
+				t.Errorf("%s %dx%dx%d without SIMD is not the legacy kernel's bits", name, m, k, n)
+			}
 		}
 	}
 }
 
 // TestPackedKcBlocking shrinks packKc so every shape spans multiple Kc
-// blocks, exercising the accumulate-resume path of both kernel tiers.
+// blocks, exercising the accumulate-resume path of both SIMD tiers.
 func TestPackedKcBlocking(t *testing.T) {
+	requireSIMD(t)
 	prevKc := packKc
 	packKc = 16
 	defer func() { packKc = prevKc }()
 
 	rng := rand.New(rand.NewSource(13))
-	for _, simd := range []bool{true, false} {
-		prev := setSIMDGEMM(simd)
+	for _, wide := range []bool{true, false} {
+		prev := setSIMD512(wide)
 		for _, sh := range packedShapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			a := randomMatrix(rng, m, k)
@@ -175,10 +183,10 @@ func TestPackedKcBlocking(t *testing.T) {
 			pb := PackB(b)
 			MatMulPacked(dst, a, pb) // forced through the tier, any shape
 			if rel := maxRel(dst, want); rel > 1e-12 {
-				t.Errorf("simd=%v Kc=16 %dx%dx%d rel %g", simd, m, k, n, rel)
+				t.Errorf("%s Kc=16 %dx%dx%d rel %g", KernelTier(), m, k, n, rel)
 			}
 		}
-		setSIMDGEMM(prev)
+		setSIMD512(prev)
 	}
 }
 
@@ -189,9 +197,11 @@ func TestPackedEmptyShapes(t *testing.T) {
 		b := New(k, n)
 		dst := New(m, n)
 		MatMul(dst, a, b) // must not panic
-		pb := PackB(b)
-		dst2 := New(m, n)
-		MatMulPacked(dst2, a, pb)
+		if SIMDEnabled() {
+			pb := PackB(b)
+			dst2 := New(m, n)
+			MatMulPacked(dst2, a, pb)
+		}
 	}
 }
 
@@ -200,6 +210,7 @@ func TestPackedMatMulBitwiseAcrossThreads(t *testing.T) {
 	const m, k, n = 515, 96, 33 // above threshold, ragged everywhere
 	a := randomMatrix(rng, m, k)
 	b := randomMatrix(rng, k, n)
+	requireSIMD(t)
 	if !usePacked(k, n) {
 		t.Fatal("shape must engage the packed tier")
 	}
@@ -279,6 +290,7 @@ func TestPackedMatMulATBMatchesNaive(t *testing.T) {
 }
 
 func TestPackBWithArenaReplays(t *testing.T) {
+	requireSIMD(t)
 	rng := rand.New(rand.NewSource(31))
 	ar := NewArena()
 	b := randomMatrix(rng, 96, 32)
@@ -311,6 +323,7 @@ func TestPackedZeroAllocSteadyState(t *testing.T) {
 	a := randomMatrix(rng, 64, 96)
 	b := randomMatrix(rng, 96, 32)
 	dst := New(64, 32)
+	requireSIMD(t)
 	if !usePacked(96, 32) {
 		t.Fatal("shape must engage the packed tier")
 	}

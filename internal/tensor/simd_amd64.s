@@ -1,10 +1,12 @@
-// AVX2+FMA microkernels for the packed cache-blocked GEMM tier.
+// AVX2+FMA and AVX-512 microkernels for the packed cache-blocked GEMM
+// tier.
 //
 // All kernels share one shape: a strided MRx(NR) register tile of C
 // accumulated over kc inner-dimension steps. Per step the kernel loads
-// one NR-wide vector pair from the packed B panel (advancing bstride
-// bytes), broadcasts one A element per tile row (advancing astride
-// bytes), and issues MR*2 fused multiply-adds. The per-element summation
+// the NR-wide B vector (a ymm pair, or one zmm) from the packed B panel
+// (advancing bstride bytes), broadcasts one A element per tile row
+// (advancing astride bytes), and issues one fused multiply-add per tile
+// row and vector. The per-element summation
 // order is plain ascending k with fused rounding — a function of the
 // element's row, column panel, and the Kc split alone, never of the row
 // tile it was computed in, the chunk boundaries, or the thread count.
@@ -153,6 +155,105 @@ done1:
 	MOVQ c0+40(FP), CX
 	VMOVUPD Y0, (CX)
 	VMOVUPD Y1, 32(CX)
+	VZEROUPPER
+	RET
+
+// func dgemmTile8Z(kc int64, a *float64, arow, astride int64, bp *float64, bstride int64, c *float64, crow int64, acc int64)
+//
+// An 8-row × 8-column tile of C, one zmm accumulator per row, over kc
+// inner-dimension steps. Tile row r reads A at a + r·arow + k·astride
+// (bytes) and writes C at c + r·crow; the B panel advances bstride bytes
+// per k step. Per step the kernel loads one 8-wide B vector, and per row
+// broadcasts a_r[k] and issues c_r += a_r[k]·b fused, in ascending k —
+// dgemmTile4's per-row sequence, operand for operand. The broadcast is a
+// separate load rather than an embedded {1to8} FMA operand because the
+// embedded form takes a as the third source, and when a and b are both
+// NaN the FMA returns the earlier source's payload: the separate
+// broadcast keeps the AVX2 operand order, so even NaN payloads match.
+// acc != 0 resumes from the stored C tile.
+//
+// The row strides make one kernel serve the three GEMM forms:
+//   MatMul, MatMulPacked, MatMulABT: arow = 8·lda, astride = 8
+//   MatMulATB (a columns as rows):   arow = 8,     astride = 8·lda
+TEXT ·dgemmTile8Z(SB), NOSPLIT, $0-72
+	MOVQ kc+0(FP), AX
+	MOVQ a+8(FP), R8
+	MOVQ arow+16(FP), R9
+	MOVQ astride+24(FP), R12
+	MOVQ bp+32(FP), BX
+	MOVQ bstride+40(FP), R13
+	MOVQ c+48(FP), CX
+	MOVQ crow+56(FP), SI
+
+	// Rows 0-3 address from R8, rows 4-7 from R11 = a + 4·arow, with
+	// index registers arow (R9) and 3·arow (R10).
+	LEAQ (R9)(R9*2), R10
+	LEAQ (R8)(R9*4), R11
+	// C rows likewise: CX for rows 0-3, DI for rows 4-7; 3·crow in DX.
+	LEAQ (SI)(SI*2), DX
+	LEAQ (CX)(SI*4), DI
+
+	CMPQ acc+64(FP), $0
+	JNE  load8
+
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	JMP    body8
+
+load8:
+	VMOVUPD (CX), Z0
+	VMOVUPD (CX)(SI*1), Z1
+	VMOVUPD (CX)(SI*2), Z2
+	VMOVUPD (CX)(DX*1), Z3
+	VMOVUPD (DI), Z4
+	VMOVUPD (DI)(SI*1), Z5
+	VMOVUPD (DI)(SI*2), Z6
+	VMOVUPD (DI)(DX*1), Z7
+
+body8:
+	TESTQ AX, AX
+	JZ    done8
+
+loop8:
+	VMOVUPD (BX), Z8
+	VBROADCASTSD (R8), Z9
+	VFMADD231PD  Z8, Z9, Z0
+	VBROADCASTSD (R8)(R9*1), Z10
+	VFMADD231PD  Z8, Z10, Z1
+	VBROADCASTSD (R8)(R9*2), Z9
+	VFMADD231PD  Z8, Z9, Z2
+	VBROADCASTSD (R8)(R10*1), Z10
+	VFMADD231PD  Z8, Z10, Z3
+	VBROADCASTSD (R11), Z9
+	VFMADD231PD  Z8, Z9, Z4
+	VBROADCASTSD (R11)(R9*1), Z10
+	VFMADD231PD  Z8, Z10, Z5
+	VBROADCASTSD (R11)(R9*2), Z9
+	VFMADD231PD  Z8, Z9, Z6
+	VBROADCASTSD (R11)(R10*1), Z10
+	VFMADD231PD  Z8, Z10, Z7
+
+	ADDQ R13, BX
+	ADDQ R12, R8
+	ADDQ R12, R11
+	DECQ AX
+	JNZ  loop8
+
+done8:
+	VMOVUPD Z0, (CX)
+	VMOVUPD Z1, (CX)(SI*1)
+	VMOVUPD Z2, (CX)(SI*2)
+	VMOVUPD Z3, (CX)(DX*1)
+	VMOVUPD Z4, (DI)
+	VMOVUPD Z5, (DI)(SI*1)
+	VMOVUPD Z6, (DI)(SI*2)
+	VMOVUPD Z7, (DI)(DX*1)
 	VZEROUPPER
 	RET
 

@@ -8,11 +8,17 @@ package tensor
 
 func detectSIMD() bool { return false }
 
+func detectSIMD512() bool { return false }
+
 func dgemmTile4(kc int64, a0, a1, a2, a3 *float64, astride int64, bp *float64, bstride int64, c0, c1, c2, c3 *float64, acc int64) {
 	panic("tensor: SIMD kernel called without hardware support")
 }
 
 func dgemmTile1(kc int64, a0 *float64, astride int64, bp *float64, bstride int64, c0 *float64, acc int64) {
+	panic("tensor: SIMD kernel called without hardware support")
+}
+
+func dgemmTile8Z(kc int64, a *float64, arow, astride int64, bp *float64, bstride int64, c *float64, crow int64, acc int64) {
 	panic("tensor: SIMD kernel called without hardware support")
 }
 
@@ -33,5 +39,13 @@ func eluBlock64(n int64, x, y *float64) int64 {
 }
 
 func eluBackBlock64(n int64, y, dy, dx *float64) {
+	panic("tensor: SIMD kernel called without hardware support")
+}
+
+func eluBlock64Z(n int64, x, y *float64) int64 {
+	panic("tensor: SIMD kernel called without hardware support")
+}
+
+func eluBackBlock64Z(n int64, y, dy, dx *float64) {
 	panic("tensor: SIMD kernel called without hardware support")
 }
