@@ -976,8 +976,8 @@ func measureOverlap(rep *Report, quick bool) {
 
 // measureBatchedTraining records the row-block batched-training tier: B
 // same-mesh samples through one fused StepBatch on a 4-rank socket fabric
-// with a tiny per-rank graph, against the B=1 baseline (StepBatch
-// delegates B=1 to Step, so the baseline IS the sequential path). The
+// with a tiny per-rank graph, against the B=1 baseline (Step is StepBatch
+// over one sample, so the baseline IS the sequential path). The
 // shape is deliberately overhead-bound — small model, small graph, real
 // socket collectives — because that is the regime training batching
 // exists for: the fused step pays one gradient AllReduce, one optimizer

@@ -280,11 +280,12 @@ func (e *Exchanger) FinishAdjoint(c *Comm) { e.finish(c) }
 // unbatched adjoint. batch == 1 is identical to Adjoint.
 func (e *Exchanger) AdjointBatched(c *Comm, haloGrad, srcGrad *tensor.Matrix, batch int) {
 	e.StartAdjointBatched(c, haloGrad, srcGrad, batch)
-	e.FinishAdjointBatched(c)
+	e.FinishAdjoint(c)
 }
 
 // StartAdjointBatched posts the batched adjoint exchange (see
-// AdjointBatched); FinishAdjointBatched completes it.
+// AdjointBatched); FinishAdjoint completes it, scatter-adding each sample
+// block's contributions in ascending neighbor order.
 func (e *Exchanger) StartAdjointBatched(c *Comm, haloGrad, srcGrad *tensor.Matrix, batch int) {
 	if batch < 1 {
 		panic(fmt.Sprintf("comm: batched exchange with batch %d", batch))
@@ -295,11 +296,6 @@ func (e *Exchanger) StartAdjointBatched(c *Comm, haloGrad, srcGrad *tensor.Matri
 	}
 	e.start(c, haloGrad, srcGrad, true, batch)
 }
-
-// FinishAdjointBatched waits for the posted batched adjoint receives and
-// scatter-adds each sample block's contributions into srcGrad, ascending
-// neighbor order within each destination row.
-func (e *Exchanger) FinishAdjointBatched(c *Comm) { e.finish(c) }
 
 // pack gathers the rows of a listed in idx into the k-th staging buffer,
 // sample-major: all of sample 0's rows, then sample 1's, each sample

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"meshgnn/internal/graph"
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -17,20 +16,19 @@ import (
 // only; LayerNorm/ELU are per-row maps; the CSR aggregation walks each
 // receiver's edges in canonical order regardless of which stacked block
 // the row lives in), sample b of the stacked result is bitwise-identical
-// to an unbatched Predict of sample b. Batching buys amortization — one
-// GEMM sweep per layer, one kernel-dispatch round, one halo frame per
-// neighbor carrying all B samples (comm.Exchanger.ForwardBatched) — and
-// changes no bit.
-//
-// The batched path keeps its own arena (the record/replay sequence has
-// different shapes than the unbatched epoch's), its own double-buffered
-// stacked output, and a tiled copy of the static-edge encoding, all bound
-// to the (graph, B, shape) tuple exactly like the unbatched binding.
+// to a Predict of sample b. Batching buys amortization — one GEMM sweep
+// per layer, one kernel-dispatch round, one halo frame per neighbor
+// carrying all B samples (comm.Exchanger.ForwardBatched) — and changes no
+// bit. Predict is the same stacked kernel at B = 1.
 
-// inferBatch is the batched serving state hanging off an Inference.
-type inferBatch struct {
-	arena *tensor.Arena
-	// xb is the persistent stacked input the B samples are copied into.
+// inferSlot is one binding of the stacked engine to a (graph, B, width)
+// tuple: its own arena recording (the record/replay sequence depends on
+// B), the persistent stacked input, the double-buffered stacked output,
+// and the static-edge encoding.
+type inferSlot struct {
+	arena tensor.Arena
+	// xb is the persistent stacked input the B > 1 samples are copied
+	// into; a single sample is read in place.
 	xb *tensor.Matrix
 	// outs double-buffers the stacked prediction; hdrs are the per-sample
 	// row-block headers into each buffer (returned to callers, so a
@@ -39,26 +37,14 @@ type inferBatch struct {
 	outs   [2]*tensor.Matrix
 	hdrs   [2][]*tensor.Matrix
 	outIdx int
-	// staticHeB is the batch-tiled static-edge encoding (EdgeFeatures4):
-	// the per-(graph,params) cache of the unbatched engine, stamped B
-	// times so the stacked residual add sees per-sample copies.
-	staticHeB *tensor.Matrix
-	procs     []batchProcessor
-	eiT       batchEdgeInputsTask
-	// seq marks configurations with no stacked twin (attention layers,
-	// the float32 engine): PredictBatch then runs the unbatched engine
-	// per sample, still honoring the batched API and output contract.
-	seq bool
+	// staticHe is the static-edge encoding (EdgeFeatures4): the compile's
+	// shared per-graph encoding at B = 1, a B-tiled copy of it at B > 1 so
+	// the stacked residual add sees per-sample rows.
+	staticHe *tensor.Matrix
 
 	lastGraph *graph.Local
 	lastB     int
-	lastRows  int
 	lastCols  int
-}
-
-// batchProcessor is the stacked counterpart of inferProcessor.
-type batchProcessor interface {
-	InferForwardBatched(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix)
 }
 
 // PredictBatch evaluates B snapshots of this rank's sub-graph in one
@@ -66,8 +52,11 @@ type batchProcessor interface {
 // returned slice holds one NumLocal×OutputNodeFeatures prediction per
 // sample, bitwise-identical to e.Predict(rc, xs[i]) run on its own. The
 // returned matrices are engine-owned row-blocks of one stacked buffer and
-// stay valid through ONE subsequent PredictBatch/RolloutBatch call. All
-// ranks must call collectively with the same batch size.
+// stay valid through ONE subsequent call of the same batch class: B > 1
+// results through one further B > 1 PredictBatch/RolloutBatch step, a
+// B = 1 result through one further single-sample call (Predict or
+// PredictBatch with one sample). All ranks must call collectively with
+// the same batch size.
 func (e *Inference) PredictBatch(rc *RankContext, xs []*tensor.Matrix) []*tensor.Matrix {
 	batch := len(xs)
 	if batch == 0 {
@@ -79,25 +68,30 @@ func (e *Inference) PredictBatch(rc *RankContext, xs []*tensor.Matrix) []*tensor
 				x.Rows, x.Cols, rc.Graph.NumLocal(), e.Config.InputNodeFeatures))
 		}
 	}
-	b := e.bindBatch(rc, batch, xs[0].Rows, xs[0].Cols)
-	if b.seq {
-		// No stacked twin: run the unbatched engine per sample, copying
-		// each result into the stacked output so the buffer-lifetime
-		// contract still holds.
-		out := b.ensureOut(batch*xs[0].Rows, e.Config.OutputNodeFeatures, batch)
+	if e.f32 != nil || e.Config.Attention {
+		// No stacked twin (the float32 engine, attention processors): run
+		// Predict per sample, copying each result into a stacked output
+		// so the buffer-lifetime contract still holds.
+		s := &e.many
+		out := s.ensureOut(batch*xs[0].Rows, e.Config.OutputNodeFeatures, batch)
 		per := out.Rows / batch
 		for i, x := range xs {
 			y := e.Predict(rc, x)
 			copy(out.Data[i*per*out.Cols:(i+1)*per*out.Cols], y.Data)
 		}
-		return b.hdrs[b.outIdx]
+		return s.hdrs[s.outIdx]
 	}
-	n := xs[0].Rows * xs[0].Cols
-	for i, x := range xs {
-		copy(b.xb.Data[i*n:(i+1)*n], x.Data)
+	s := e.bind(rc, batch, xs[0].Cols)
+	x := xs[0]
+	if batch > 1 {
+		n := x.Rows * x.Cols
+		for i, xi := range xs {
+			copy(s.xb.Data[i*n:(i+1)*n], xi.Data)
+		}
+		x = s.xb
 	}
-	e.predictStacked(rc, b, batch)
-	return b.hdrs[b.outIdx]
+	e.predictStacked(rc, s, x, batch)
+	return s.hdrs[s.outIdx]
 }
 
 // RolloutBatch applies the engine autoregressively to B initial states,
@@ -132,296 +126,68 @@ func (e *Inference) RolloutBatch(rc *RankContext, x0s []*tensor.Matrix, steps in
 	return trajs
 }
 
-// bindBatch (re)binds the batched state to a (graph, B, shape) tuple,
-// mirroring the unbatched bind: clear the arena, re-tile the static-edge
-// cache, and rebuild the stacked processors.
-func (e *Inference) bindBatch(rc *RankContext, batch, rows, cols int) *inferBatch {
-	b := e.batch
-	if b == nil {
-		b = &inferBatch{arena: tensor.NewArena()}
-		e.batch = b
+// bind returns the slot for batch (one for B = 1, many otherwise), bound
+// to (graph, batch, cols). A rebind clears the slot's arena and takes the
+// static-edge encoding from the compile's shared per-graph cache, so the
+// edge encoder runs once per graph however often B changes; the encoding
+// is bitwise what a per-request evaluation would produce (the kernels are
+// deterministic), so caching is invisible to the results.
+func (e *Inference) bind(rc *RankContext, batch, cols int) *inferSlot {
+	s := &e.many
+	if batch == 1 {
+		s = &e.one
 	}
-	if rc.Graph == b.lastGraph && batch == b.lastB && rows == b.lastRows && cols == b.lastCols {
-		return b
+	if rc.Graph == s.lastGraph && batch == s.lastB && cols == s.lastCols {
+		return s
 	}
-	b.arena.Clear()
-	b.lastGraph, b.lastB, b.lastRows, b.lastCols = rc.Graph, batch, rows, cols
-	b.staticHeB = nil
-	b.procs = b.procs[:0]
-	b.seq = e.f32 != nil
-	if !b.seq {
-		for _, p := range e.procs {
-			nmp, ok := p.(*inferNMP)
-			if !ok {
-				b.seq = true
-				break
-			}
-			b.procs = append(b.procs, &batchNMP{src: nmp})
+	s.arena.Clear()
+	s.lastGraph, s.lastB, s.lastCols = rc.Graph, batch, cols
+	s.staticHe = nil
+	if e.Config.EdgeMode == EdgeFeatures4 {
+		s.staticHe = e.shared.staticFor(rc.Graph, rc.StaticEdge, e.edgeEnc)
+		if batch > 1 {
+			one := s.staticHe
+			s.staticHe = tensor.New(batch*one.Rows, one.Cols)
+			tensor.TileRowsInto(s.staticHe, one, batch)
 		}
 	}
-	if b.seq {
-		b.procs = b.procs[:0]
-		return b
+	if rows := batch * rc.Graph.NumLocal(); batch > 1 && (s.xb == nil || s.xb.Rows != rows || s.xb.Cols != cols) {
+		s.xb = tensor.New(rows, cols)
 	}
-	if e.Config.EdgeMode == EdgeFeatures4 {
-		one := e.edgeEnc.InferForward(nil, rc.StaticEdge)
-		b.staticHeB = tensor.New(batch*one.Rows, one.Cols)
-		tensor.TileRowsInto(b.staticHeB, one, batch)
-	}
-	if b.xb == nil || b.xb.Rows != batch*rows || b.xb.Cols != cols {
-		b.xb = tensor.New(batch*rows, cols)
-	}
-	return b
+	return s
 }
 
 // ensureOut advances the double buffer and sizes the stacked output and
 // its per-sample headers.
-func (b *inferBatch) ensureOut(rows, cols, batch int) *tensor.Matrix {
-	b.outIdx = 1 - b.outIdx
-	out := b.outs[b.outIdx]
-	if out == nil || out.Rows != rows || out.Cols != cols || len(b.hdrs[b.outIdx]) != batch {
+func (s *inferSlot) ensureOut(rows, cols, batch int) *tensor.Matrix {
+	s.outIdx = 1 - s.outIdx
+	out := s.outs[s.outIdx]
+	if out == nil || out.Rows != rows || out.Cols != cols || len(s.hdrs[s.outIdx]) != batch {
 		out = tensor.New(rows, cols)
-		b.outs[b.outIdx] = out
+		s.outs[s.outIdx] = out
 		per := rows / batch
 		hdrs := make([]*tensor.Matrix, batch)
 		for i := range hdrs {
 			hdrs[i] = out.RowBlock(i*per, (i+1)*per)
 		}
-		b.hdrs[b.outIdx] = hdrs
+		s.hdrs[s.outIdx] = hdrs
 	}
 	return out
 }
 
-// predictStacked runs one fused epoch over the stacked input b.xb.
-func (e *Inference) predictStacked(rc *RankContext, b *inferBatch, batch int) {
-	a := b.arena
+// predictStacked runs one fused epoch over x, batch stacked snapshots,
+// into the slot's next output buffer.
+func (e *Inference) predictStacked(rc *RankContext, s *inferSlot, x *tensor.Matrix, batch int) {
+	a := &s.arena
 	a.Reset()
-	hx := e.nodeEnc.InferForward(a, b.xb)
-	he := b.staticHeB
+	hx := e.nodeEnc.InferForward(a, x)
+	he := s.staticHe
 	if he == nil {
-		// EdgeFeatures7: assemble the stacked 7-column edge attributes
-		// (relative node features per sample, shared static geometry).
-		ne := rc.Graph.NumEdges()
-		var ei *tensor.Matrix
-		if b.xb.Cols >= 3 {
-			ei = a.Get(batch*ne, 7)
-		} else {
-			ei = a.GetZeroed(batch*ne, 7)
-		}
-		b.eiT = batchEdgeInputsTask{rc: rc, x: b.xb, out: ei}
-		parallel.ForTask(batch*ne, 512, &b.eiT)
-		he = e.edgeEnc.InferForward(a, ei)
+		he = e.edgeEnc.InferForward(a, rc.EdgeInputsInto(e.Config.EdgeMode, x, a))
 	}
-	for _, p := range b.procs {
-		hx, he = p.InferForwardBatched(rc, a, hx, he, batch)
+	for _, p := range e.procs {
+		hx, he = p.InferForward(rc, a, hx, he)
 	}
 	y := e.dec.InferForward(a, hx)
-	out := b.ensureOut(y.Rows, y.Cols, batch)
-	tensor.CloneInto(out, y)
-}
-
-// batchNMP is the stacked twin of inferNMP: the same compiled MLPs (it
-// aliases the unbatched twin, so SetOverlap and parameter updates flow
-// through), the same aggregation/absorb orders per row — only the task
-// index spaces carry the extra leading batch dimension.
-type batchNMP struct {
-	src *inferNMP
-
-	edgeInT batchEdgeInTask
-	aggT    batchAggTask
-	absorbT batchAbsorbTask
-	hcatT   batchHCatTask
-}
-
-func (l *batchNMP) InferForwardBatched(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix, batch int) (xOut, eOut *tensor.Matrix) {
-	s := l.src
-	g := rc.Graph
-	h := x.Cols
-	nl, ne, nh := g.NumLocal(), g.NumEdges(), g.NumHalo()
-	nb := g.NumBoundary
-
-	// (4a) stacked edge update with residual.
-	edgeIn := a.Get(batch*ne, 3*h)
-	l.edgeInT = batchEdgeInTask{g: g, x: x, e: e, out: edgeIn, h: h}
-	parallel.ForTask(batch*ne, edgeGrain(h), &l.edgeInT)
-	eOut = s.edgeMLP.InferForward(a, edgeIn)
-	tensor.AddScaled(eOut, 1, e)
-
-	// (4b)–(4d) over the stacked blocks; one batched halo exchange moves
-	// every sample's boundary aggregates.
-	agg := a.GetZeroed(batch*nl, h)
-	halo := a.GetZeroed(batch*nh, h)
-	nodeIn := a.Get(batch*nl, 2*h)
-
-	if s.overlap {
-		l.aggT = batchAggTask{g: g, eOut: eOut, agg: agg,
-			disableDeg: s.disableDeg, nodes: g.NodeOrder[:nb]}
-		parallel.ForTask(batch*nb, edgeGrain(h), &l.aggT)
-		rc.Ex.StartForwardBatched(rc.Comm, agg, halo, batch)
-
-		l.aggT.nodes = g.NodeOrder[nb:]
-		parallel.ForTask(batch*(nl-nb), edgeGrain(h), &l.aggT)
-		l.hcatT = batchHCatTask{agg: agg, x: x, out: nodeIn, h: h,
-			nodes: g.NodeOrder[nb:], nl: nl}
-		parallel.ForTask(batch*(nl-nb), edgeGrain(h), &l.hcatT)
-
-		rc.Ex.FinishForward(rc.Comm)
-		l.absorbT = batchAbsorbTask{g: g, agg: agg, halo: halo, nodes: g.NodeOrder[:nb]}
-		parallel.ForTask(batch*nb, edgeGrain(h), &l.absorbT)
-		l.hcatT.nodes = g.NodeOrder[:nb]
-		parallel.ForTask(batch*nb, edgeGrain(h), &l.hcatT)
-	} else {
-		l.aggT = batchAggTask{g: g, eOut: eOut, agg: agg, disableDeg: s.disableDeg}
-		parallel.ForTask(batch*nl, edgeGrain(h), &l.aggT)
-		rc.Ex.ForwardBatched(rc.Comm, agg, halo, batch)
-		l.absorbT = batchAbsorbTask{g: g, agg: agg, halo: halo}
-		parallel.ForTask(batch*nl, edgeGrain(h), &l.absorbT)
-		tensor.HCatInto(nodeIn, agg, x)
-	}
-
-	// (4e) stacked node update with residual.
-	xOut = s.nodeMLP.InferForward(a, nodeIn)
-	tensor.AddScaled(xOut, 1, x)
-	return xOut, eOut
-}
-
-// batchEdgeInTask assembles stacked (x_i ‖ x_j ‖ e_ij) rows: global index
-// q decomposes into (sample b, edge k) and the gathers offset into sample
-// b's row blocks. Each row is written once, identically to the unbatched
-// task on that sample.
-type batchEdgeInTask struct {
-	g         *graph.Local
-	x, e, out *tensor.Matrix
-	h         int
-}
-
-func (t *batchEdgeInTask) Run(lo, hi int) {
-	h := t.h
-	nl, ne := t.g.NumLocal(), t.g.NumEdges()
-	for q := lo; q < hi; q++ {
-		b, k := q/ne, q%ne
-		ed := t.g.Edges[k]
-		xo := b * nl
-		row := t.out.Row(q)
-		copy(row[:h], t.x.Row(xo+ed[1]))    // x_i (receiver)
-		copy(row[h:2*h], t.x.Row(xo+ed[0])) // x_j (sender)
-		copy(row[2*h:], t.e.Row(q))         // e_ij
-	}
-}
-
-// batchAggTask is the stacked receiver aggregation: index p decomposes
-// into (sample b, position) over the node list (or all local rows), and
-// each receiver row walks its incoming edges in the canonical CSR order —
-// the per-row summation sequence of the unbatched sweep, for any batch
-// size and thread count.
-type batchAggTask struct {
-	g          *graph.Local
-	eOut, agg  *tensor.Matrix
-	disableDeg bool
-	nodes      []int
-}
-
-func (t *batchAggTask) Run(lo, hi int) {
-	g := t.g
-	nl, ne := g.NumLocal(), g.NumEdges()
-	count := nl
-	if t.nodes != nil {
-		count = len(t.nodes)
-	}
-	for p := lo; p < hi; p++ {
-		b, q := p/count, p%count
-		i := q
-		if t.nodes != nil {
-			i = t.nodes[q]
-		}
-		dst := t.agg.Row(b*nl + i)
-		eo := b * ne
-		for k := g.RecvStart[i]; k < g.RecvStart[i+1]; k++ {
-			src := t.eOut.Row(eo + k)
-			inv := 1.0
-			if !t.disableDeg {
-				inv = 1 / g.EdgeDegree[k]
-			}
-			for j, v := range src {
-				dst[j] += inv * v
-			}
-		}
-	}
-}
-
-// batchAbsorbTask is the stacked synchronization: owners absorb their
-// halo copies within their own sample block, contributions in ascending
-// halo-row order exactly like the unbatched sweep.
-type batchAbsorbTask struct {
-	g         *graph.Local
-	agg, halo *tensor.Matrix
-	nodes     []int
-}
-
-func (t *batchAbsorbTask) Run(lo, hi int) {
-	g := t.g
-	nl, nh := g.NumLocal(), g.NumHalo()
-	count := nl
-	if t.nodes != nil {
-		count = len(t.nodes)
-	}
-	for p := lo; p < hi; p++ {
-		b, q := p/count, p%count
-		i := q
-		if t.nodes != nil {
-			i = t.nodes[q]
-		}
-		dst := t.agg.Row(b*nl + i)
-		ho := b * nh
-		for k := g.HaloStart[i]; k < g.HaloStart[i+1]; k++ {
-			src := t.halo.Row(ho + g.HaloPerm[k])
-			for j, v := range src {
-				dst[j] += v
-			}
-		}
-	}
-}
-
-// batchHCatTask assembles stacked node-MLP input rows (a* ‖ x) for the
-// listed nodes of every sample block.
-type batchHCatTask struct {
-	agg, x, out *tensor.Matrix
-	h           int
-	nodes       []int
-	nl          int
-}
-
-func (t *batchHCatTask) Run(lo, hi int) {
-	count := len(t.nodes)
-	for p := lo; p < hi; p++ {
-		b, q := p/count, p%count
-		r := b*t.nl + t.nodes[q]
-		row := t.out.Row(r)
-		copy(row[:t.h], t.agg.Row(r))
-		copy(row[t.h:], t.x.Row(r))
-	}
-}
-
-// batchEdgeInputsTask is the stacked EdgeFeatures7 assembly: per sample,
-// the first three columns are the relative node features x_dst − x_src;
-// the static geometry columns are shared across the batch.
-type batchEdgeInputsTask struct {
-	rc     *RankContext
-	x, out *tensor.Matrix
-}
-
-func (t *batchEdgeInputsTask) Run(lo, hi int) {
-	g := t.rc.Graph
-	nl, ne := g.NumLocal(), g.NumEdges()
-	for q := lo; q < hi; q++ {
-		b, k := q/ne, q%ne
-		ed := g.Edges[k]
-		xo := b * nl
-		row := t.out.Row(q)
-		xs, xd := t.x.Row(xo+ed[0]), t.x.Row(xo+ed[1])
-		for j := 0; j < 3 && j < len(xs); j++ {
-			row[j] = xd[j] - xs[j]
-		}
-		copy(row[3:], t.rc.StaticEdge.Row(k))
-	}
+	tensor.CloneInto(s.ensureOut(y.Rows, y.Cols, batch), y)
 }

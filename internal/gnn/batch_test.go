@@ -282,6 +282,76 @@ func TestPredictBatchRebind(t *testing.T) {
 	}
 }
 
+// TestPredictBatchRebindReusesStaticEncoding pins the static-edge cache
+// across batch-size changes: a fresh compile serving PredictBatch at B=2,
+// then B=3, then B=2 fills the compile's shared per-graph encoding exactly
+// once, and every binding — including Predict's B=1 binding, which uses
+// the shared encoding itself — takes its rows from that one matrix instead
+// of re-running the edge encoder.
+func TestPredictBatchRebindReusesStaticEncoding(t *testing.T) {
+	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.NewCartesian(box, 1, partition.Slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals, err := graph.BuildAll(box, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = comm.Run(1, func(c *comm.Comm) error {
+		rc, err := NewRankContext(c, box, locals[0], comm.NoExchange)
+		if err != nil {
+			return err
+		}
+		model, err := NewModel(tinyConfig())
+		if err != nil {
+			return err
+		}
+		eng, err := NewInference(model)
+		if err != nil {
+			return err
+		}
+		var enc *tensor.Matrix
+		for _, batch := range []int{2, 3, 2} {
+			xs := batchInputs(rc.Graph, batch)
+			outs := eng.PredictBatch(rc, xs)
+			if n := len(eng.shared.static); n != 1 {
+				return fmt.Errorf("B=%d: shared static-edge cache holds %d encodings, want 1", batch, n)
+			}
+			he := eng.shared.static[rc.Graph]
+			if enc == nil {
+				enc = he
+			} else if he != enc {
+				return fmt.Errorf("B=%d: rebind re-encoded the static edges", batch)
+			}
+			tiled := eng.many.staticHe
+			if tiled == nil || tiled.Rows != batch*enc.Rows {
+				return fmt.Errorf("B=%d: batched binding holds no %d-row tiled encoding", batch, batch*enc.Rows)
+			}
+			for b := 0; b < batch; b++ {
+				if d := bitDiff(enc, tiled.RowBlock(b*enc.Rows, (b+1)*enc.Rows)); d != 0 {
+					return fmt.Errorf("B=%d: tile %d differs from the shared encoding in %d values", batch, b, d)
+				}
+			}
+			for i, x := range xs {
+				if d := bitDiff(eng.Predict(rc, x), outs[i]); d != 0 {
+					return fmt.Errorf("B=%d sample %d: %d values differ bitwise from Predict", batch, i, d)
+				}
+			}
+			if eng.one.staticHe != enc {
+				return fmt.Errorf("B=%d: Predict's binding does not use the shared encoding", batch)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPredictBatchSequentialFallback checks the configurations without a
 // stacked twin (attention processors, the float32 engine): PredictBatch
 // must still honor the API and match per-sample Predict bitwise.
@@ -419,7 +489,7 @@ func TestPredictBatchOutputLifetimeContract(t *testing.T) {
 }
 
 // TestPredictBatchSteadyStateZeroAlloc gates the batched hot path the
-// same way the unbatched engine is gated: after binding, a PredictBatch
+// same way the single-sample Predict is gated: after binding, a PredictBatch
 // allocates nothing.
 func TestPredictBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {

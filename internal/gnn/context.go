@@ -55,18 +55,24 @@ func NewRankContext(c *comm.Comm, box *mesh.Box, l *graph.Local, mode comm.Excha
 	}, nil
 }
 
-// edgeInputsTask assembles the 7-column edge attributes; bound to the
-// rank context and reused so the per-step assembly allocates nothing.
+// edgeInputsTask assembles the 7-column edge attributes of stacked
+// samples: index q decomposes into (sample b, edge k), the relative node
+// features come from sample b's row block and the static geometry columns
+// are shared. Bound to the rank context and reused so the per-step
+// assembly allocates nothing.
 type edgeInputsTask struct {
 	rc     *RankContext
 	x, out *tensor.Matrix
 }
 
 func (t *edgeInputsTask) Run(lo, hi int) {
-	for k := lo; k < hi; k++ {
-		e := t.rc.Graph.Edges[k]
-		row := t.out.Row(k)
-		xs, xd := t.x.Row(e[0]), t.x.Row(e[1])
+	g := t.rc.Graph
+	nl, ne := g.NumLocal(), g.NumEdges()
+	for q := lo; q < hi; q++ {
+		b, k := q/ne, q%ne
+		e := g.Edges[k]
+		row := t.out.Row(q)
+		xs, xd := t.x.Row(b*nl+e[0]), t.x.Row(b*nl+e[1])
 		for j := 0; j < 3 && j < len(xs); j++ {
 			row[j] = xd[j] - xs[j]
 		}
@@ -87,30 +93,38 @@ func (rc *RankContext) TransportKind() comm.TransportKind {
 // node features under the configured mode. For EdgeFeatures7 the first
 // three columns are the relative input node features x_dst - x_src (the
 // paper's "relative node features"); the remaining four are the static
-// geometry columns.
+// geometry columns. x may stack B samples as row blocks (x.Rows =
+// B·NumLocal); the result then stacks B edge-attribute blocks.
 func (rc *RankContext) EdgeInputs(mode EdgeFeatureMode, x *tensor.Matrix) *tensor.Matrix {
 	return rc.EdgeInputsInto(mode, x, nil)
 }
 
-// EdgeInputsInto is EdgeInputs drawing the 7-column assembly from a
-// workspace arena (nil falls back to allocating). EdgeFeatures4 returns
-// the precomputed static matrix either way.
+// EdgeInputsInto is EdgeInputs drawing the assembly from a workspace
+// arena (nil falls back to allocating). A single EdgeFeatures4 sample
+// returns the precomputed static matrix itself.
 func (rc *RankContext) EdgeInputsInto(mode EdgeFeatureMode, x *tensor.Matrix, a *tensor.Arena) *tensor.Matrix {
+	batch := stackedBatch(rc.Graph, x)
+	ne := rc.Graph.NumEdges()
 	switch mode {
 	case EdgeFeatures4:
-		return rc.StaticEdge
+		if batch == 1 {
+			return rc.StaticEdge
+		}
+		out := a.Get(batch*ne, int(EdgeFeatures4))
+		tensor.TileRowsInto(out, rc.StaticEdge, batch)
+		return out
 	case EdgeFeatures7:
 		// Inputs narrower than 3 columns leave part of the relative-
 		// feature block untouched, which must read as zero; full-width
 		// inputs overwrite every column, so the clear is skipped.
 		var out *tensor.Matrix
 		if x.Cols >= 3 {
-			out = a.Get(rc.Graph.NumEdges(), 7)
+			out = a.Get(batch*ne, int(EdgeFeatures7))
 		} else {
-			out = a.GetZeroed(rc.Graph.NumEdges(), 7)
+			out = a.GetZeroed(batch*ne, int(EdgeFeatures7))
 		}
 		rc.eiTask = edgeInputsTask{rc: rc, x: x, out: out}
-		parallel.ForTask(rc.Graph.NumEdges(), 512, &rc.eiTask)
+		parallel.ForTask(batch*ne, 512, &rc.eiTask)
 		return out
 	}
 	panic(fmt.Sprintf("gnn: unsupported edge mode %d", mode))

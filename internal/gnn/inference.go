@@ -9,7 +9,6 @@ import (
 
 	"meshgnn/internal/graph"
 	"meshgnn/internal/nn"
-	"meshgnn/internal/parallel"
 	"meshgnn/internal/tensor"
 )
 
@@ -26,13 +25,14 @@ import (
 //     matrix and invStd column;
 //   - with the default static edge features (EdgeFeatures4) the edge
 //     encoder's input does not depend on the node snapshot, so its output
-//     is encoded ONCE per (graph, parameters) binding and reused by every
-//     subsequent Predict — an entire MLP forward over the edge set drops
-//     out of the per-request path.
+//     is encoded ONCE per (graph, parameters) and reused by every
+//     subsequent Predict and PredictBatch, whatever the batch size — an
+//     entire MLP forward over the edge set drops out of the per-request
+//     path.
 //
-// The fused epoch keeps the persistent preprocessed inputs of the
-// training path — the bound edge-input assembly task, the exchanger's
-// halo request tables, the boundary/interior graph split — and reuses the
+// The fused epoch runs the training layer's own stacked NMP kernel
+// (nmpForward) — the bound edge-input assembly, the exchanger's halo
+// request tables, the boundary/interior graph split — and reuses the
 // overlapped Start/Finish exchange halves, so Config.Overlap hides halo
 // transfers behind interior compute in pure-forward mode too.
 //
@@ -55,27 +55,17 @@ type Inference struct {
 	// compiled twins above are then absent and Predict dispatches to it.
 	f32 *engine32
 
-	arena *tensor.Arena
-	// outs double-buffers the persistent prediction exactly like
-	// Model.Forward: the returned matrix stays valid through one
-	// subsequent Predict call.
-	outs     [2]*tensor.Matrix
-	outIdx   int
-	staticHe *tensor.Matrix // cached edge encoding (EdgeFeatures4 only)
+	// one and many are the engine's two bindings of the stacked kernel
+	// (see inferSlot): one serves every single-sample call (Predict,
+	// Rollout, PredictBatch with B = 1), many the most recent B > 1
+	// PredictBatch. Alternating B = 1 and B > 1 calls rebinds neither.
+	one, many inferSlot
 
 	// shared is the compile's cross-session state: the static-edge
 	// encodings, computed once per rank graph and referenced read-only by
 	// every Session view (nil on Float32 engines, which keep their own
 	// f32 cache).
 	shared *inferShared
-
-	lastGraph *graph.Local
-	lastRows  int
-	lastCols  int
-
-	// batch is the block-diagonal batched serving state (see batch.go),
-	// created on the first PredictBatch.
-	batch *inferBatch
 
 	// live counts outstanding Session views of this compile (root engines
 	// only): Session increments, Release decrements. Refresh refuses while
@@ -122,7 +112,8 @@ func (s *inferShared) reset() {
 	s.mu.Unlock()
 }
 
-// inferProcessor is the forward-only counterpart of ProcessorLayer.
+// inferProcessor is the forward-only counterpart of ProcessorLayer. x
+// and e stack B samples as row blocks; only inferNMP accepts B > 1.
 type inferProcessor interface {
 	InferForward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix)
 	setOverlap(on bool)
@@ -140,10 +131,7 @@ func NewInference(m *Model) (*Inference, error) {
 	if err := m.Config.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Inference{
-		Config: m.Config,
-		arena:  tensor.NewArena(),
-	}
+	e := &Inference{Config: m.Config}
 	if m.Config.Precision == Float32 {
 		e.f32 = compile32(m)
 		return e, nil
@@ -217,8 +205,7 @@ func (e *Inference) Refresh() error {
 	if n := e.live.Load(); n != 0 {
 		return fmt.Errorf("%w: %d outstanding", ErrLiveSessions, n)
 	}
-	e.lastGraph = nil
-	e.staticHe = nil
+	e.one.lastGraph, e.many.lastGraph = nil, nil // rebind on the next call
 	if e.shared != nil {
 		e.shared.reset()
 	}
@@ -236,20 +223,16 @@ func (e *Inference) Refresh() error {
 			}
 		}
 	}
-	if e.batch != nil {
-		e.batch.lastGraph = nil
-		e.batch.staticHeB = nil
-	}
 	return nil
 }
 
 // Session returns an independent engine over this compile's immutable
 // state: the parameter twins, the pre-packed weight panels, and the
 // static-edge cache are shared (one compile referenced by S sessions);
-// the arena, output double-buffer, binding state, and batched-serving
-// scaffolding are fresh. Sessions may predict concurrently — each from
-// its own collective group — and their results are bitwise-identical to
-// the source engine's, sample for sample.
+// the bindings (arenas, output double-buffers, stacked inputs) are
+// fresh. Sessions may predict concurrently — each from its own collective
+// group — and their results are bitwise-identical to the source engine's,
+// sample for sample.
 //
 // Engines that carry per-session-incompatible state refuse: the Float32
 // twin snapshots its own packed operands (compile one engine per
@@ -268,7 +251,6 @@ func (e *Inference) Session() (*Inference, error) {
 	}
 	s := &Inference{
 		Config:  e.Config,
-		arena:   tensor.NewArena(),
 		shared:  e.shared,
 		nodeEnc: e.nodeEnc.Session(),
 		edgeEnc: e.edgeEnc.Session(),
@@ -309,7 +291,7 @@ func (e *Inference) Release() {
 // activation arena is counted at half a float64 per element, alongside
 // the f64 staging arena.
 func (e *Inference) WorkspaceFootprint() int {
-	n := e.arena.Footprint()
+	n := e.one.arena.Footprint() + e.many.arena.Footprint()
 	if e.f32 != nil {
 		n += (e.f32.arena.Footprint() + 1) / 2
 	}
@@ -319,60 +301,25 @@ func (e *Inference) WorkspaceFootprint() int {
 // Predict evaluates the engine on this rank's sub-graph: x is the
 // NumLocal×InputNodeFeatures node snapshot, the result the
 // NumLocal×OutputNodeFeatures prediction, bitwise-equal to
-// Model.Forward on the source model. The returned matrix is engine-owned
-// and stays valid through ONE subsequent Predict (the same pushforward
-// contract as Model.Forward). All ranks must call Predict collectively.
+// Model.Forward on the source model. It is the stacked kernel at B = 1.
+// The returned matrix is engine-owned and stays valid through ONE
+// subsequent single-sample call — Predict, or PredictBatch with one
+// sample, which shares its double buffer (the same pushforward contract
+// as Model.Forward). All ranks must call Predict collectively.
 func (e *Inference) Predict(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
 	if x.Rows != rc.Graph.NumLocal() || x.Cols != e.Config.InputNodeFeatures {
 		panic(fmt.Sprintf("gnn: inference input %dx%d, want %dx%d",
 			x.Rows, x.Cols, rc.Graph.NumLocal(), e.Config.InputNodeFeatures))
 	}
 	if e.f32 != nil {
-		if rc.Graph != e.lastGraph || x.Rows != e.lastRows || x.Cols != e.lastCols {
+		if rc.Graph != e.one.lastGraph || x.Cols != e.one.lastCols {
 			e.bind32(rc, x)
 		}
 		return e.predict32(rc, x)
 	}
-	if rc.Graph != e.lastGraph || x.Rows != e.lastRows || x.Cols != e.lastCols {
-		e.bind(rc, x)
-	}
-	e.arena.Reset()
-	hx := e.nodeEnc.InferForward(e.arena, x)
-	he := e.staticHe
-	if he == nil {
-		he = e.edgeEnc.InferForward(e.arena, rc.EdgeInputsInto(e.Config.EdgeMode, x, e.arena))
-	}
-	for _, p := range e.procs {
-		hx, he = p.InferForward(rc, e.arena, hx, he)
-	}
-	y := e.dec.InferForward(e.arena, hx)
-	e.outIdx = 1 - e.outIdx
-	out := e.outs[e.outIdx]
-	if out == nil || out.Rows != y.Rows || out.Cols != y.Cols {
-		out = tensor.New(y.Rows, y.Cols)
-		e.outs[e.outIdx] = out
-	}
-	tensor.CloneInto(out, y)
-	return out
-}
-
-// bind re-records the engine against a new (graph, shape) pair: the arena
-// is cleared and, for static edge features, the edge encoder runs once
-// into persistent storage (outside the arena, so the per-request replay
-// sequence never contains it). The encoding is bitwise what a per-request
-// evaluation would produce — the kernels are deterministic — so caching
-// is invisible to the results.
-func (e *Inference) bind(rc *RankContext, x *tensor.Matrix) {
-	e.arena.Clear()
-	e.lastGraph, e.lastRows, e.lastCols = rc.Graph, x.Rows, x.Cols
-	e.staticHe = nil
-	if e.Config.EdgeMode == EdgeFeatures4 {
-		if e.shared != nil {
-			e.staticHe = e.shared.staticFor(rc.Graph, rc.StaticEdge, e.edgeEnc)
-		} else {
-			e.staticHe = e.edgeEnc.InferForward(nil, rc.StaticEdge)
-		}
-	}
+	s := e.bind(rc, 1, x.Cols)
+	e.predictStacked(rc, s, x, 1)
+	return s.outs[s.outIdx]
 }
 
 // Rollout applies the engine autoregressively, state_{n+1} = G(state_n),
@@ -395,19 +342,16 @@ func (e *Inference) Rollout(rc *RankContext, x0 *tensor.Matrix, steps int) []*te
 }
 
 // inferNMP is the forward half of the consistent NMP layer (Eq. 4),
-// compiled for serving: the same bound tasks, the same per-row
-// aggregation and absorb orders, the same synchronous/phased scheduling —
-// only the backward caches (edgeIn, nodeIn, haloRows, rc) are gone and
-// the MLPs are forward-only twins.
+// compiled for serving: the layer's own forward kernel (nmpForward) at
+// any stacked batch size — the same per-row aggregation and absorb orders,
+// the same synchronous/phased scheduling — around forward-only MLP twins,
+// with none of the backward caches.
 type inferNMP struct {
 	edgeMLP, nodeMLP *nn.InferMLP
 	disableDeg       bool
 	overlap          bool
 
-	edgeInT nmpEdgeInTask
-	aggT    nmpAggTask
-	absorbT nmpAbsorbTask
-	hcatT   nmpHCatTask
+	fwd nmpForward
 }
 
 func newInferNMP(l *NMPLayer, overlap bool) *inferNMP {
@@ -421,51 +365,12 @@ func newInferNMP(l *NMPLayer, overlap bool) *inferNMP {
 
 func (l *inferNMP) setOverlap(on bool) { l.overlap = on }
 
+// InferForward applies the layer to x.Rows/NumLocal stacked samples.
 func (l *inferNMP) InferForward(rc *RankContext, a *tensor.Arena, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix) {
-	g := rc.Graph
-	h := x.Cols
-
-	// (4a) edge update with residual.
-	edgeIn := a.Get(g.NumEdges(), 3*h)
-	l.edgeInT = nmpEdgeInTask{g: g, x: x, e: e, out: edgeIn, h: h}
-	parallel.ForTask(g.NumEdges(), edgeGrain(h), &l.edgeInT)
-	eOut = l.edgeMLP.InferForward(a, edgeIn)
+	batch := stackedBatch(rc.Graph, x)
+	eOut = l.edgeMLP.InferForward(a, l.fwd.edgeInputs(rc.Graph, a, x, e, batch))
 	tensor.AddScaled(eOut, 1, e)
-
-	// (4b)–(4d): aggregation, halo swap, synchronization — the exact
-	// schedule of NMPLayer.Forward, including the phased split.
-	agg := a.GetZeroed(g.NumLocal(), h)
-	halo := a.GetZeroed(g.NumHalo(), h)
-	nodeIn := a.Get(g.NumLocal(), 2*h)
-
-	if l.overlap {
-		l.aggT = nmpAggTask{g: g, eOut: eOut, agg: agg,
-			disableDeg: l.disableDeg, nodes: g.NodeOrder[:g.NumBoundary]}
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.aggT)
-		rc.Ex.StartForward(rc.Comm, agg, halo)
-
-		l.aggT.nodes = g.NodeOrder[g.NumBoundary:]
-		parallel.ForTask(g.NumLocal()-g.NumBoundary, edgeGrain(h), &l.aggT)
-		l.hcatT = nmpHCatTask{agg: agg, x: x, out: nodeIn, h: h,
-			nodes: g.NodeOrder[g.NumBoundary:]}
-		parallel.ForTask(g.NumLocal()-g.NumBoundary, edgeGrain(h), &l.hcatT)
-
-		rc.Ex.FinishForward(rc.Comm)
-		l.absorbT = nmpAbsorbTask{g: g, agg: agg, halo: halo, nodes: g.NodeOrder[:g.NumBoundary]}
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.absorbT)
-		l.hcatT.nodes = g.NodeOrder[:g.NumBoundary]
-		parallel.ForTask(g.NumBoundary, edgeGrain(h), &l.hcatT)
-	} else {
-		l.aggT = nmpAggTask{g: g, eOut: eOut, agg: agg, disableDeg: l.disableDeg}
-		parallel.ForTask(g.NumLocal(), edgeGrain(h), &l.aggT)
-		rc.Ex.Forward(rc.Comm, agg, halo)
-		l.absorbT = nmpAbsorbTask{g: g, agg: agg, halo: halo}
-		parallel.ForTask(g.NumLocal(), edgeGrain(h), &l.absorbT)
-		tensor.HCatInto(nodeIn, agg, x)
-	}
-
-	// (4e) node update with residual.
-	xOut = l.nodeMLP.InferForward(a, nodeIn)
+	xOut = l.nodeMLP.InferForward(a, l.fwd.nodeInputs(rc, a, x, eOut, batch, l.overlap, l.disableDeg))
 	tensor.AddScaled(xOut, 1, x)
 	return xOut, eOut
 }

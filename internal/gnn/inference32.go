@@ -65,8 +65,8 @@ func compile32(m *Model) *engine32 {
 func (e *Inference) bind32(rc *RankContext, x *tensor.Matrix) {
 	f := e.f32
 	f.arena.Clear()
-	e.arena.Clear() // f64 staging arena (EdgeFeatures7 assembly)
-	e.lastGraph, e.lastRows, e.lastCols = rc.Graph, x.Rows, x.Cols
+	e.one.arena.Clear() // f64 staging arena (EdgeFeatures7 assembly)
+	e.one.lastGraph, e.one.lastCols = rc.Graph, x.Cols
 	g := rc.Graph
 	h := e.Config.HiddenDim
 	f.aggStage = tensor.New(g.NumLocal(), h)
@@ -85,8 +85,8 @@ func (e *Inference) predict32(rc *RankContext, x *tensor.Matrix) *tensor.Matrix 
 	hx := f.nodeEnc.InferForward32(f.arena, f.x32)
 	he := f.staticHe32
 	if he == nil {
-		e.arena.Reset()
-		ein64 := rc.EdgeInputsInto(e.Config.EdgeMode, x, e.arena)
+		e.one.arena.Reset()
+		ein64 := rc.EdgeInputsInto(e.Config.EdgeMode, x, &e.one.arena)
 		ein := f.arena.Get(ein64.Rows, ein64.Cols)
 		tensor.DemoteInto32(ein, ein64)
 		he = f.edgeEnc.InferForward32(f.arena, ein)
@@ -95,12 +95,7 @@ func (e *Inference) predict32(rc *RankContext, x *tensor.Matrix) *tensor.Matrix 
 		hx, he = p.InferForward32(rc, f, hx, he)
 	}
 	y := f.dec.InferForward32(f.arena, hx)
-	e.outIdx = 1 - e.outIdx
-	out := e.outs[e.outIdx]
-	if out == nil || out.Rows != y.Rows || out.Cols != y.Cols {
-		out = tensor.New(y.Rows, y.Cols)
-		e.outs[e.outIdx] = out
-	}
+	out := e.one.ensureOut(y.Rows, y.Cols, 1)
 	tensor.PromoteInto64(out, y)
 	return out
 }

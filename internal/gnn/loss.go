@@ -24,49 +24,74 @@ type ConsistentMSE struct {
 	// diff caches Y-Ŷ for the backward pass; diff and dy are reused
 	// across steps (resized lazily), so steady-state loss evaluation
 	// allocates nothing.
-	diff   *tensor.Matrix
-	dy     *tensor.Matrix
-	sumBuf [1]float64
-	rc     *RankContext
-
-	// batched-training state (trainbatch.go): per-sample loss sums are
-	// AllReduced as one vector; lastBatch keys BackwardBatched's row-block
-	// degree indexing.
-	sums      []float64
-	losses    []float64
-	lastBatch int
+	diff *tensor.Matrix
+	dy   *tensor.Matrix
+	rc   *RankContext
+	// Per-sample loss sums AllReduce as one vector; batch keys Backward's
+	// row-block degree indexing; t1 holds Forward's single target.
+	sums   []float64
+	losses []float64
+	batch  int
+	t1     [1]*tensor.Matrix
 }
 
 // Forward returns the consistent loss. y and target are
 // NumLocal×F_y node attribute matrices; all ranks must call collectively.
 func (l *ConsistentMSE) Forward(rc *RankContext, y, target *tensor.Matrix) float64 {
-	if y.Rows != target.Rows || y.Cols != target.Cols {
-		panic(fmt.Sprintf("gnn: loss shapes %dx%d vs %dx%d", y.Rows, y.Cols, target.Rows, target.Cols))
-	}
-	if y.Rows != rc.Graph.NumLocal() {
-		panic(fmt.Sprintf("gnn: loss rows %d, want %d local nodes", y.Rows, rc.Graph.NumLocal()))
+	l.t1[0] = target
+	return l.forward(rc, y, l.t1[:])[0]
+}
+
+// forward computes the per-sample consistent losses of a stacked
+// prediction: y is (B·N_local)×F, targets the B per-sample targets. Per
+// sample the row-major summation order is that of a single-sample pass,
+// and all B partial sums cross the wire in ONE vector AllReduce
+// (element-wise, ascending rank order — bitwise the B scalar reductions).
+// Returns the per-sample losses in a buffer owned by the loss, valid
+// until the next call. All ranks call collectively.
+func (l *ConsistentMSE) forward(rc *RankContext, y *tensor.Matrix, targets []*tensor.Matrix) []float64 {
+	batch := len(targets)
+	per := rc.Graph.NumLocal()
+	if y.Rows != batch*per {
+		panic(fmt.Sprintf("gnn: loss rows %d, want %d·%d local nodes", y.Rows, batch, per))
 	}
 	l.rc = rc
+	l.batch = batch
 	if l.diff == nil || l.diff.Rows != y.Rows || l.diff.Cols != y.Cols {
 		l.diff = tensor.New(y.Rows, y.Cols)
 	}
-	var s float64
-	for i := 0; i < y.Rows; i++ {
-		inv := 1 / rc.Graph.NodeDegree[i]
-		yr, tr, dr := y.Row(i), target.Row(i), l.diff.Row(i)
-		for j := range yr {
-			d := yr[j] - tr[j]
-			dr[j] = d
-			s += inv * d * d
-		}
+	if cap(l.sums) < batch {
+		l.sums = make([]float64, batch)
+		l.losses = make([]float64, batch)
 	}
-	l.sumBuf[0] = s
-	rc.Comm.AllReduceSum(l.sumBuf[:])
-	return l.sumBuf[0] / (rc.Neff * float64(y.Cols))
+	sums, losses := l.sums[:batch], l.losses[:batch]
+	for b, target := range targets {
+		if target.Rows != per || target.Cols != y.Cols {
+			panic(fmt.Sprintf("gnn: loss target %dx%d, want %dx%d",
+				target.Rows, target.Cols, per, y.Cols))
+		}
+		var s float64
+		for i := 0; i < per; i++ {
+			inv := 1 / rc.Graph.NodeDegree[i]
+			yr, tr, dr := y.Row(b*per+i), target.Row(i), l.diff.Row(b*per+i)
+			for j := range yr {
+				d := yr[j] - tr[j]
+				dr[j] = d
+				s += inv * d * d
+			}
+		}
+		sums[b] = s
+	}
+	rc.Comm.AllReduceSum(sums)
+	for b, s := range sums {
+		losses[b] = s / (rc.Neff * float64(y.Cols))
+	}
+	return losses
 }
 
-// Backward returns dL/dY for the most recent Forward. The returned matrix
-// is owned by the loss and valid until the next Backward call.
+// Backward returns dL/dY for the most recent forward pass: stacked, each
+// sample block's gradient exactly that sample's. The returned matrix is
+// owned by the loss and valid until the next Backward call.
 func (l *ConsistentMSE) Backward() *tensor.Matrix {
 	if l.diff == nil {
 		panic("gnn: ConsistentMSE.Backward before Forward")
@@ -75,9 +100,10 @@ func (l *ConsistentMSE) Backward() *tensor.Matrix {
 		l.dy = tensor.New(l.diff.Rows, l.diff.Cols)
 	}
 	dy := l.dy
+	per := dy.Rows / l.batch
 	scale := 2 / (l.rc.Neff * float64(l.diff.Cols))
 	for i := 0; i < dy.Rows; i++ {
-		inv := scale / l.rc.Graph.NodeDegree[i]
+		inv := scale / l.rc.Graph.NodeDegree[i%per]
 		src, dst := l.diff.Row(i), dy.Row(i)
 		for j, v := range src {
 			dst[j] = inv * v

@@ -37,7 +37,7 @@ type Model struct {
 	Decoder     *nn.MLP
 
 	params []*nn.Param
-	lastNe int // edge count of the most recent Forward, for Backward
+	lastNe int // edge count of the most recent forward, for Backward
 
 	arena *tensor.Arena
 	// outs double-buffers the persistent prediction: each Forward writes
@@ -46,23 +46,24 @@ type Model struct {
 	// trainer.Step(rc, model.Forward(rc, x), target) reads the old
 	// prediction (as cached input and loss target) while the new one is
 	// being produced.
-	outs      [2]*tensor.Matrix
-	outIdx    int
-	lastGraph *graph.Local // arena shape signature
-	lastRows  int
+	outs   [2]*tensor.Matrix
+	outIdx int
+	// arena shape signature: rank graph, input width and stacked batch.
+	lastGraph *graph.Local
 	lastCols  int
-	lastBatch int // 1 for Forward; the stacked B for forwardBatched
+	lastBatch int
 
-	// batched-training state (trainbatch.go): the persistent stacked input
-	// and the batch-tiled static-edge attributes (EdgeFeatures4).
-	xb          *tensor.Matrix
-	staticEdgeB *tensor.Matrix
-	beiT        batchEdgeInputsTask
+	// xb is the persistent stacked input B > 1 samples are copied into;
+	// x1 holds Forward's single sample.
+	xb *tensor.Matrix
+	x1 [1]*tensor.Matrix
 }
 
 // ProcessorLayer is the contract shared by the consistent NMP layer and
 // the consistent attention layer: a collective forward over (node, edge)
-// hidden features and its reverse-mode backward.
+// hidden features and its reverse-mode backward. The NMP layer takes B
+// samples stacked as row blocks (B read off the rows); the attention
+// layer takes one.
 type ProcessorLayer interface {
 	Forward(rc *RankContext, x, e *tensor.Matrix) (xOut, eOut *tensor.Matrix)
 	Backward(dxOut, deOut *tensor.Matrix) (dx, de *tensor.Matrix)
@@ -153,25 +154,8 @@ func (m *Model) NumParams() int { return nn.CountParams(m.params) }
 // does. All ranks must call Forward collectively (the NMP layers
 // synchronize halos).
 func (m *Model) Forward(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
-	if x.Rows != rc.Graph.NumLocal() || x.Cols != m.Config.InputNodeFeatures {
-		panic(fmt.Sprintf("gnn: input %dx%d, want %dx%d",
-			x.Rows, x.Cols, rc.Graph.NumLocal(), m.Config.InputNodeFeatures))
-	}
-	// A new forward pass begins the next workspace epoch: rewind the
-	// arena (replaying the recorded buffers), or re-record from scratch
-	// when the computation changed shape.
-	if rc.Graph != m.lastGraph || x.Rows != m.lastRows || x.Cols != m.lastCols || m.lastBatch != 1 {
-		m.arena.Clear()
-		m.lastGraph, m.lastRows, m.lastCols, m.lastBatch = rc.Graph, x.Rows, x.Cols, 1
-	}
-	m.arena.Reset()
-	hx := m.NodeEncoder.Forward(x)
-	he := m.EdgeEncoder.Forward(rc.EdgeInputsInto(m.Config.EdgeMode, x, m.arena))
-	m.lastNe = rc.Graph.NumEdges()
-	for _, l := range m.Layers {
-		hx, he = l.Forward(rc, hx, he)
-	}
-	y := m.Decoder.Forward(hx)
+	m.x1[0] = x
+	y := m.forward(rc, m.x1[:])
 	// The prediction escapes the step (losses, rollouts, assembly hold
 	// it), so it is copied out of the arena into a persistent buffer —
 	// alternating between two so the previously returned prediction stays
@@ -186,22 +170,76 @@ func (m *Model) Forward(rc *RankContext, x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// Backward propagates the output gradient dy through the model,
-// accumulating parameter gradients. Gradients with respect to the raw
-// inputs are not returned: inputs are data, and the edge-feature
-// dependence on x (EdgeFeatures7 mode) is likewise treated as constant.
-// All ranks must call Backward collectively, after the matching Forward
-// (the workspace epoch spans the forward and backward pass).
+// forward evaluates the GNN on len(xs) snapshots of this rank's sub-graph,
+// stacked as row blocks of one matrix, and returns the stacked
+// (B·NumLocal)×OutputNodeFeatures prediction. The result is arena-owned:
+// valid until the next forward pass begins (it only needs to survive into
+// the loss and the matching Backward). A new pass begins the next
+// workspace epoch: the arena rewinds (replaying the recorded buffers), or
+// re-records from scratch when the graph, input width or batch changed.
+// All ranks must call collectively with the same batch size.
+func (m *Model) forward(rc *RankContext, xs []*tensor.Matrix) *tensor.Matrix {
+	batch := len(xs)
+	if batch == 0 {
+		panic("gnn: forward with an empty batch")
+	}
+	if batch > 1 && m.Config.Attention {
+		panic("gnn: batched training requires NMP processor layers (no attention)")
+	}
+	for _, x := range xs {
+		if x.Rows != rc.Graph.NumLocal() || x.Cols != m.Config.InputNodeFeatures {
+			panic(fmt.Sprintf("gnn: input %dx%d, want %dx%d",
+				x.Rows, x.Cols, rc.Graph.NumLocal(), m.Config.InputNodeFeatures))
+		}
+	}
+	x := xs[0]
+	if rc.Graph != m.lastGraph || x.Cols != m.lastCols || batch != m.lastBatch {
+		m.arena.Clear()
+		m.lastGraph, m.lastCols, m.lastBatch = rc.Graph, x.Cols, batch
+	}
+	if batch > 1 {
+		if m.xb == nil || m.xb.Rows != batch*x.Rows || m.xb.Cols != x.Cols {
+			m.xb = tensor.New(batch*x.Rows, x.Cols)
+		}
+		n := x.Rows * x.Cols
+		for i, xi := range xs {
+			copy(m.xb.Data[i*n:(i+1)*n], xi.Data)
+		}
+		x = m.xb
+	}
+
+	m.arena.Reset()
+	hx := m.NodeEncoder.Forward(x)
+	// The static EdgeFeatures4 attributes tile per sample, so the edge
+	// encoder's cached input — which its backward slices per block — is
+	// stacked like every other activation.
+	he := m.EdgeEncoder.Forward(rc.EdgeInputsInto(m.Config.EdgeMode, x, m.arena))
+	m.lastNe = rc.Graph.NumEdges()
+	for _, l := range m.Layers {
+		hx, he = l.Forward(rc, hx, he)
+	}
+	return m.Decoder.Forward(hx)
+}
+
+// Backward propagates the output gradient dy through the model after the
+// matching forward pass, accumulating parameter gradients; after a
+// B-sample pass (Trainer.StepBatch) they are bitwise the sum of B
+// single-sample passes. Gradients with respect to the raw inputs are not
+// returned: inputs are data, and the edge-feature dependence on x
+// (EdgeFeatures7 mode) is likewise treated as constant. All ranks must
+// call Backward collectively (the workspace epoch spans the forward and
+// backward pass).
 func (m *Model) Backward(dy *tensor.Matrix) {
-	dhx := m.Decoder.Backward(dy)
+	batch := m.lastBatch
+	dhx := m.Decoder.BackwardBatched(dy, batch)
 	// The last layer's edge gradient starts at zero (edge features are
 	// discarded after message passing, per the paper's decoder).
-	dhe := m.arena.GetZeroed(m.lastNe, m.Config.HiddenDim)
+	dhe := m.arena.GetZeroed(batch*m.lastNe, m.Config.HiddenDim)
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		dhx, dhe = m.Layers[i].Backward(dhx, dhe)
 	}
-	m.EdgeEncoder.Backward(dhe)
-	m.NodeEncoder.Backward(dhx)
+	m.EdgeEncoder.BackwardBatched(dhe, batch)
+	m.NodeEncoder.BackwardBatched(dhx, batch)
 }
 
 // ZeroGrads clears all parameter gradients.

@@ -154,10 +154,10 @@ func TestStepBatchBitwiseOracleSweep(t *testing.T) {
 	}
 }
 
-// TestStepBatchSizesEdgeModesAndRebind sweeps batch sizes (including the
-// B=1 delegation to Step) and both edge-feature modes on one trainer, with
-// batch-size changes in between: every re-record must stay bitwise equal
-// to the oracle.
+// TestStepBatchSizesEdgeModesAndRebind sweeps batch sizes (including
+// B=1, the stacked kernel over one sample, which is what Step runs) and
+// both edge-feature modes on one trainer, with batch-size changes in
+// between: every re-record must stay bitwise equal to the oracle.
 func TestStepBatchSizesEdgeModesAndRebind(t *testing.T) {
 	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
 	if err != nil {
@@ -193,9 +193,9 @@ func TestStepBatchSizesEdgeModesAndRebind(t *testing.T) {
 				var refLoss ConsistentMSE
 				all := batchInputs(rc.Graph, 16)
 				diff := 0
-				// B=3 records, B=1 delegates to Step, B=2 and B=8 re-record,
-				// B=3 re-records again — every transition from the same
-				// trainer must track the oracle bitwise.
+				// B=3 records, B=1, B=2 and B=8 re-record, B=3 re-records
+				// again — every transition from the same trainer must track
+				// the oracle bitwise.
 				for _, batch := range []int{3, 1, 2, 8, 3} {
 					xs, ts := all[:batch], all[8:8+batch]
 					want := oracleAccumulate(rc, ref, &refLoss, refOpt, xs, ts)
@@ -214,6 +214,127 @@ func TestStepBatchSizesEdgeModesAndRebind(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStepBatchInterleavedSingleSampleCalls runs Trainer.Evaluate,
+// Model.Forward and Rollout — single-sample passes through the model's one
+// arena binding — between B=3 StepBatch steps on one model, in both edge
+// modes. Every switch between B=1 and B=3 re-records the shared arena;
+// the batched losses, gradients and parameters must stay bitwise equal to
+// the sequential oracle, and the single-sample results must match the
+// oracle model's bit for bit.
+func TestStepBatchInterleavedSingleSampleCalls(t *testing.T) {
+	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.NewCartesian(box, 2, partition.Slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals, err := graph.BuildAll(box, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, edgeMode := range []EdgeFeatureMode{EdgeFeatures4, EdgeFeatures7} {
+		t.Run(fmt.Sprintf("edge%d", edgeMode), func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.EdgeMode = edgeMode
+			res, err := comm.RunCollect(2, func(c *comm.Comm) (int, error) {
+				rc, err := NewRankContext(c, box, locals[c.Rank()], comm.SendRecvMode)
+				if err != nil {
+					return 0, err
+				}
+				mdl, err := NewModel(cfg)
+				if err != nil {
+					return 0, err
+				}
+				tr := NewTrainer(mdl, nn.NewSGD(0.05))
+				ref, err := NewModel(cfg)
+				if err != nil {
+					return 0, err
+				}
+				refOpt := nn.NewSGD(0.05)
+				var refLoss ConsistentMSE
+				all := batchInputs(rc.Graph, 12)
+				diff := 0
+				for step := 0; step < 3; step++ {
+					xs, ts := all[step:step+3], all[6+step:9+step]
+					want := oracleAccumulate(rc, ref, &refLoss, refOpt, xs, ts)
+					got := tr.StepBatch(rc, xs, ts)
+					diff += floatBitDiff(want, got)
+					diff += floatBitDiff(nn.FlattenGrads(ref.Params(), nil), nn.FlattenGrads(mdl.Params(), nil))
+					diff += paramBitDiff(ref, mdl)
+
+					x, target := all[10], all[11]
+					wantEval := refLoss.Forward(rc, ref.Forward(rc, x), target)
+					diff += floatBitDiff([]float64{wantEval}, []float64{tr.Evaluate(rc, x, target)})
+					diff += bitDiff(ref.Forward(rc, x), mdl.Forward(rc, x))
+					wantTraj, gotTraj := Rollout(ref, rc, x, 2), Rollout(mdl, rc, x, 2)
+					for i := range wantTraj {
+						diff += bitDiff(wantTraj[i], gotTraj[i])
+					}
+				}
+				return diff, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, d := range res {
+				if d != 0 {
+					t.Errorf("rank %d: %d values differ bitwise with single-sample calls between batched steps", r, d)
+				}
+			}
+		})
+	}
+}
+
+// TestStepBatchAttentionPanics pins the attention gate: an attention
+// model trains through Step (B=1), and StepBatch with B>1 panics with the
+// documented message instead of mis-evaluating the stacked rows.
+func TestStepBatchAttentionPanics(t *testing.T) {
+	box, err := mesh.NewBox(4, 3, 3, 2, [3]bool{true, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.NewCartesian(box, 1, partition.Slabs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	locals, err := graph.BuildAll(box, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := tinyConfig()
+	cfg.Attention = true
+	err = comm.Run(1, func(c *comm.Comm) error {
+		rc, err := NewRankContext(c, box, locals[0], comm.NoExchange)
+		if err != nil {
+			return err
+		}
+		mdl, err := NewModel(cfg)
+		if err != nil {
+			return err
+		}
+		tr := NewTrainer(mdl, nn.NewSGD(0.05))
+		all := batchInputs(rc.Graph, 4)
+		if loss := tr.StepBatch(rc, all[:1], all[2:3])[0]; math.IsNaN(loss) || loss <= 0 {
+			return fmt.Errorf("attention StepBatch at B=1: loss %v", loss)
+		}
+		const want = "gnn: batched training requires NMP processor layers (no attention)"
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			tr.StepBatch(rc, all[:2], all[2:])
+		}()
+		if got != want {
+			return fmt.Errorf("attention StepBatch at B=2: recovered %v, want panic %q", got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -333,7 +454,7 @@ func TestFitBatchedGroupsShuffledOrder(t *testing.T) {
 }
 
 // TestStepBatchSteadyStateZeroAlloc gates the batched training hot path
-// like the unbatched step: once the arena has recorded, a StepBatch
+// like the single-sample step: once the arena has recorded, a StepBatch
 // allocates nothing.
 func TestStepBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {

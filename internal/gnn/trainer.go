@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"time"
 
 	"meshgnn/internal/nn"
@@ -42,6 +43,7 @@ type Trainer struct {
 	batchLoss []float64
 	xsBuf     []*tensor.Matrix
 	tsBuf     []*tensor.Matrix
+	x1, t1    [1]*tensor.Matrix // Step's one-sample batch
 }
 
 // StepTiming is the accumulated per-phase breakdown of training steps:
@@ -76,9 +78,37 @@ func NewTrainer(m *Model, opt nn.Optimizer) *Trainer {
 }
 
 // Step executes one training iteration (forward, loss, backward, gradient
-// AllReduce, optimizer update) and returns the consistent loss value.
-// All ranks must call Step collectively with their own x and target.
+// AllReduce, optimizer update) and returns the consistent loss value: it
+// is StepBatch over one sample. All ranks must call Step collectively
+// with their own x and target.
 func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
+	t.x1[0], t.t1[0] = x, target
+	return t.StepBatch(rc, t.x1[:], t.t1[:])[0]
+}
+
+// StepBatch executes one training iteration over len(xs) samples stacked
+// as row blocks of one (B·N)×F matrix: one fused forward, one row-block
+// backward, one gradient AllReduce, one clip, ONE optimizer step (and
+// hence one Param.Bump — the pack caches invalidate once per step, not
+// once per sample). Pure row maps (input-gradient GEMMs, ELU, per-row
+// LayerNorm dx, gathers and owner-partitioned scatters) run over the full
+// stack, while every reduction whose fixed chunk schedule derives from
+// the row count — the weight/bias/gain/shift gradients and the per-sample
+// loss sums — runs one sample block at a time in ascending sample order.
+// The accumulated gradient is therefore bitwise-equal to the sequential
+// oracle that runs ZeroGrads once and then Forward/Loss/Backward per
+// sample before the same single AllReduce + clip + optimizer step, for
+// any thread count, rank count, transport and overlap mode. The halo
+// exchanges batch too (one frame per neighbor per direction), so the
+// message count per step is batch-invariant.
+//
+// Returns the per-sample consistent losses in a trainer-owned buffer,
+// valid until the next step. All ranks must call StepBatch collectively
+// with the same batch size. Attention models train at B = 1 only.
+func (t *Trainer) StepBatch(rc *RankContext, xs, targets []*tensor.Matrix) []float64 {
+	if len(xs) == 0 || len(xs) != len(targets) {
+		panic(fmt.Sprintf("gnn: StepBatch with %d inputs, %d targets", len(xs), len(targets)))
+	}
 	mark := time.Now()
 	var haloBase, exposedBase float64
 	if t.Timing != nil {
@@ -86,7 +116,7 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 		exposedBase = rc.Comm.Stats.HaloExposedSeconds
 	}
 	// lap books the phase's wall time, first peeling off any halo time the
-	// comm layer accumulated during it (Forward/Backward run the
+	// comm layer accumulated during it (forward/backward run the
 	// exchanges), so compute phases report compute only.
 	lap := func(dst *time.Duration) {
 		if t.Timing != nil {
@@ -105,11 +135,11 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 		}
 	}
 	t.Model.ZeroGrads()
-	y := t.Model.Forward(rc, x)
+	y := t.Model.forward(rc, xs)
 	if t.Timing != nil {
 		lap(&t.Timing.Forward)
 	}
-	loss := t.Loss.Forward(rc, y, target)
+	losses := t.Loss.forward(rc, y, targets)
 	if t.Timing != nil {
 		lap(&t.Timing.Loss)
 	}
@@ -138,7 +168,8 @@ func (t *Trainer) Step(rc *RankContext, x, target *tensor.Matrix) float64 {
 		t.Timing.Steps++
 	}
 	t.step++
-	return loss
+	t.batchLoss = append(t.batchLoss[:0], losses...)
+	return t.batchLoss
 }
 
 // Evaluate computes the consistent loss without touching gradients or

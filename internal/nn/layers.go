@@ -145,19 +145,7 @@ func (l *Linear) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward implements Layer. Parameter gradients accumulate (+=) so a
 // layer applied to several batches within one iteration sums their
 // contributions; ZeroGrads resets them between iterations.
-func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if l.dw == nil {
-		// The weight-gradient scratch persists across steps (it has a
-		// fixed parameter shape), so it lives outside the arena.
-		l.dw = tensor.New(l.In, l.Out)
-	}
-	tensor.MatMulATB(l.dw, l.x, dy)
-	tensor.AddScaled(l.Weight.G, 1, l.dw)
-	tensor.ColSums(l.Bias.G.Data, dy)
-	dx := l.arena.Get(dy.Rows, l.In)
-	tensor.MatMulABT(dx, dy, l.Weight.W) // fully overwrites dx
-	return dx
-}
+func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix { return l.BackwardBatched(dy, 1) }
 
 // BackwardBatched is the row-block backward: dy is batch vertically
 // stacked sample gradients ((batch·n)×Out). The input gradient is a pure
@@ -165,12 +153,14 @@ func (l *Linear) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // parameter-gradient reductions — whose fixed chunk schedule derives from
 // the row count — run per sample block in ascending order, so each
 // block's reduction geometry, and hence every accumulated bit, matches
-// the sequential per-sample oracle exactly. batch == 1 is Backward.
+// the sequential per-sample oracle exactly.
 func (l *Linear) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
 	if dy.Rows%batch != 0 {
 		panic(fmt.Sprintf("nn: batched backward rows %d not divisible by batch %d", dy.Rows, batch))
 	}
 	if l.dw == nil {
+		// The weight-gradient scratch persists across steps (it has a
+		// fixed parameter shape), so it lives outside the arena.
 		l.dw = tensor.New(l.In, l.Out)
 	}
 	per := dy.Rows / batch
@@ -280,7 +270,7 @@ type lnBackwardTask struct {
 	dy, dx *tensor.Matrix
 	// off shifts the row window: the batched backward reduces one sample
 	// block at a time (rows [off, off+n) of the stacked matrices) with the
-	// block-local chunk schedule of the unbatched pass. 0 for Backward.
+	// block-local chunk schedule of a single-sample pass.
 	off int
 }
 
@@ -379,18 +369,13 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := ln.arena.Get(dy.Rows, dy.Cols)
-	ln.bwd.ln, ln.bwd.dy, ln.bwd.dx, ln.bwd.off = ln, dy, dx, 0
-	parallel.ReduceWith(dy.Rows, 256, 2*ln.Dim, &ln.bwd)
-	return dx
-}
+func (ln *LayerNorm) Backward(dy *tensor.Matrix) *tensor.Matrix { return ln.BackwardBatched(dy, 1) }
 
 // BackwardBatched is the row-block backward over batch stacked samples.
 // The input gradient is per-row (any partition yields the same bits); the
 // gain/shift reduction runs one sample block at a time in ascending order,
-// reproducing the unbatched pass's chunk geometry — and therefore its
-// accumulated bits — per sample. batch == 1 is Backward.
+// reproducing a single-sample pass's chunk geometry — and therefore its
+// accumulated bits — per sample.
 func (ln *LayerNorm) BackwardBatched(dy *tensor.Matrix, batch int) *tensor.Matrix {
 	if dy.Rows%batch != 0 {
 		panic(fmt.Sprintf("nn: batched backward rows %d not divisible by batch %d", dy.Rows, batch))

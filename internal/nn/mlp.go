@@ -60,12 +60,7 @@ func (m *MLP) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward implements Layer.
-func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		dy = m.layers[i].Backward(dy)
-	}
-	return dy
-}
+func (m *MLP) Backward(dy *tensor.Matrix) *tensor.Matrix { return m.BackwardBatched(dy, 1) }
 
 // BatchBackward is implemented by layers whose backward distinguishes the
 // row-block (batched) layout: parameter-gradient reductions run per
